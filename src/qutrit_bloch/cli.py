@@ -1,7 +1,8 @@
 """Command-line driver: simulate, verify, cardinal.
 
 Exit codes: 0 success, 1 verification failure, 2 I/O or configuration error,
-3 runtime invariant breach during a simulation.
+3 runtime invariant breach during a simulation (a non-finite table entry, or a
+Bloch-norm drift past ``RUNTIME_NORM_TOL``); no output file is written then.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, figures
-from .config import ConfigError, RunConfig, parse_run_config
+from .config import ConfigError, RunConfig, grid_rows, parse_run_config
 from .dynamics import Trajectory, bloch_trajectory
 from .states import BLOCH_NORM_SQ, CARDINAL_LABELS, bloch_from_amplitudes, cardinal_state
 
@@ -28,15 +29,19 @@ CSV_HEADER = (
 #: Norm-conservation breach that aborts a run with exit code 3.
 RUNTIME_NORM_TOL = 1e-6
 
+#: Rows the writers format with one ``%`` at a time; bounds their memory.
+BLOCK_ROWS = 4096
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+_FIELDS = CSV_HEADER.split(",")
+#: One table row: 17 significant digits in CSV; in JSON the shortest
+#: round-trip repr, as ``json.dump`` writes a float (finite values only).
+_CSV_ROW = ",".join(["%.17g"] * len(_FIELDS)) + "\n"
+_JSON_ROW = "{\n" + ",\n".join(f'   "{name}": %r' for name in _FIELDS) + "\n  }"
 
 
 def simulation_grid(cfg: RunConfig) -> np.ndarray:
     """Uniform grid 0, dt, 2 dt, ... up to (and including) t_max."""
-    count = int(np.floor(cfg.t_max / cfg.dt + 1e-9))
-    return np.arange(count + 1) * cfg.dt
+    return np.arange(grid_rows(cfg.t_max, cfg.dt)) * cfg.dt
 
 
 def _records(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
@@ -47,11 +52,19 @@ def _records(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     return table, norm2
 
 
+def _write_rows(fh, table: np.ndarray, row: str, sep: str) -> None:
+    """Write ``row % values`` for every table row, joined by ``sep``."""
+    for start in range(0, len(table), BLOCK_ROWS):
+        block = table[start:start + BLOCK_ROWS]
+        if start:
+            fh.write(sep)
+        fh.write(sep.join([row] * len(block)) % tuple(block.ravel().tolist()))
+
+
 def _write_csv(path: Path, table: np.ndarray) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for row in table:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_rows(fh, table, _CSV_ROW, "")
 
 
 def _meta(cfg: RunConfig) -> dict:
@@ -72,11 +85,14 @@ def _meta(cfg: RunConfig) -> dict:
 
 
 def _write_json(path: Path, cfg: RunConfig, table: np.ndarray) -> None:
-    fields = CSV_HEADER.split(",")
-    rows = [dict(zip(fields, map(float, row))) for row in table]
+    """The layout of ``json.dump({"meta": ..., "rows": [{field: value}, ...]}, indent=1)``."""
+    # json lays out the frame; the rows go where the one placeholder row sits.
+    frame = json.dumps({"meta": _meta(cfg), "rows": [None]}, indent=1)
+    head, tail = frame.rsplit("null", 1)
     with open(path, "w", newline="\n") as fh:
-        json.dump({"meta": _meta(cfg), "rows": rows}, fh, indent=1)
-        fh.write("\n")
+        fh.write(head)
+        _write_rows(fh, table, _JSON_ROW, ",\n  ")
+        fh.write(tail + "\n")
 
 
 def run_simulate(cfg: RunConfig) -> int:
@@ -84,6 +100,10 @@ def run_simulate(cfg: RunConfig) -> int:
     times = simulation_grid(cfg)
     traj = bloch_trajectory(cfg.to_sim_params(), times)
     table, norm2 = _records(traj)
+    if not np.isfinite(table).all():
+        print("error: the trajectory has non-finite values; aborting without output",
+              file=sys.stderr)
+        return 3
     drift = np.abs(norm2 - BLOCH_NORM_SQ).max()
     if drift > RUNTIME_NORM_TOL:
         print(

@@ -9,6 +9,7 @@ comments. Recognized keys:
     delta        shared detuning                            (required)
     t_max        run length, positive                       (required)
     dt           grid step, positive, at most t_max         (required)
+                 (t_max/dt + 1 rows; at most MAX_GRID_ROWS)
     c0_re        three comma-separated reals                (default: equal populations)
     c0_im        three comma-separated reals                (default: 0,0,0)
     convention   half | full                                (default: half)
@@ -30,13 +31,19 @@ from .dynamics import Configuration, SimParams
 
 __all__ = [
     "ConfigError",
+    "MAX_GRID_ROWS",
     "RunConfig",
+    "grid_rows",
     "parse_run_config",
     "render_run_config",
 ]
 
 #: Parse-time ceiling on |norm(c0)^2 - 1|.
 C0_NORM_TOL = 1e-9
+
+#: Largest simulation grid a run may ask for, in rows: 100x the 10001 rows
+#: of a bundled figure. Refused at parse time, before anything is allocated.
+MAX_GRID_ROWS = 1_000_000
 
 EMIT_MODES = ("timeseries", "phase_portrait", "sectors")
 OUTPUT_FORMATS = ("csv", "json")
@@ -75,6 +82,20 @@ class RunConfig:
 
     def with_overrides(self, **kwargs) -> "RunConfig":
         return replace(self, **kwargs)
+
+
+def grid_rows(t_max: float, dt: float) -> int:
+    """Rows of the grid 0, dt, 2 dt, ... up to (and including) t_max.
+
+    Raises ConfigError when that is more than MAX_GRID_ROWS rows, or not a
+    finite number of them.
+    """
+    steps = t_max / dt + 1e-9
+    if not steps < MAX_GRID_ROWS:  # also refuses inf and nan
+        raise ConfigError(
+            f"t_max/dt = {steps:.3g} asks for more than {MAX_GRID_ROWS} grid rows"
+        )
+    return math.floor(steps) + 1
 
 
 def _raw_pairs(text: str) -> dict[str, tuple[str, int]]:
@@ -153,6 +174,7 @@ def parse_run_config(text: str, overrides: dict[str, str] | None = None) -> RunC
         raise ConfigError(f"{where('dt')}: dt must be positive")
     if numbers["dt"] > numbers["t_max"]:
         raise ConfigError(f"{where('dt')}: dt must not exceed t_max")
+    grid_rows(numbers["t_max"], numbers["dt"])
 
     c0_re = _EQUAL_RE
     if "c0_re" in pairs:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qutrit_bloch import checks, states
+from qutrit_bloch import checks, cli, states
 from qutrit_bloch.cli import (
     CSV_HEADER,
     main,
@@ -14,8 +14,14 @@ from qutrit_bloch.cli import (
     run_verify,
     simulation_grid,
 )
-from qutrit_bloch.config import ConfigError, parse_run_config, render_run_config
-from qutrit_bloch.dynamics import Configuration
+from qutrit_bloch.config import (
+    MAX_GRID_ROWS,
+    ConfigError,
+    grid_rows,
+    parse_run_config,
+    render_run_config,
+)
+from qutrit_bloch.dynamics import Configuration, bloch_trajectory
 from qutrit_bloch.figures import FIGURE_NAMES, figure_config_text, load_figure, parameter_sets
 
 FIG1A_TEXT = "config=lambda\nkappa_a=0.3\nkappa_b=0.2\ndelta=0\nt_max=100\ndt=0.01\n"
@@ -127,6 +133,26 @@ def test_figure_registry():
 def test_simulation_grid_row_count():
     cfg = parse_run_config(FIG1A_TEXT)
     assert simulation_grid(cfg).size == 10001
+    at_cap = parse_run_config(FIG1A_TEXT, {"t_max": str(MAX_GRID_ROWS - 1), "dt": "1"})
+    assert grid_rows(at_cap.t_max, at_cap.dt) == MAX_GRID_ROWS
+
+
+@pytest.mark.parametrize("t_max,dt", [
+    ("1e12", "1e-3"),  # a 7 PiB grid
+    ("1e300", "1e-300"),  # t_max/dt overflows to inf
+    ("1e-300", "1e-320"),  # subnormal dt
+    (str(MAX_GRID_ROWS), "1"),  # one row past the cap
+])
+def test_oversized_grid_rejected_at_parse(tmp_path, capsys, t_max, dt):
+    # Validation only: each case is refused before any grid is allocated.
+    with pytest.raises(ConfigError) as err:
+        parse_run_config(FIG1A_TEXT, {"t_max": t_max, "dt": dt})
+    assert "grid rows" in str(err.value)
+    out = tmp_path / "out.csv"
+    args = ["simulate", "--figure", "fig1a", "--set", f"t_max={t_max}", "--set", f"dt={dt}"]
+    assert main(args + ["--output", str(out)]) == 2
+    assert "grid rows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_simulate_csv(tmp_path):
@@ -203,6 +229,15 @@ def test_run_simulate_invariant_breach(tmp_path, capsys, monkeypatch):
     assert "norm drifted" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
 
+    # A detuning this large turns every entry into nan, and the drift with it.
+    monkeypatch.undo()
+    out = tmp_path / "nan.json"
+    args = ["simulate", "--figure", "fig1a", "--set", "delta=1e308", "--set", "t_max=1"]
+    with np.errstate(all="ignore"):
+        assert main(args + ["--format", "json", "--output", str(out)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
 
 def test_run_cardinal_output(capsys):
     assert run_cardinal("one") == 0
@@ -278,3 +313,57 @@ def test_main_simulate_requires_exactly_one_source(tmp_path, capsys):
 def test_main_simulate_bad_override(capsys):
     assert main(["simulate", "--figure", "fig1a", "--set", "delta"]) == 2
     assert "key=value" in capsys.readouterr().err
+
+
+def reference_csv(path, table):
+    """The per-value CSV writer the block writer must match byte for byte."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for row in table:
+            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+
+
+def reference_json(path, cfg, table):
+    """The ``json.dump`` writer the block writer must match byte for byte."""
+    fields = CSV_HEADER.split(",")
+    rows = [dict(zip(fields, map(float, row))) for row in table]
+    with open(path, "w", newline="\n") as fh:
+        json.dump({"meta": cli._meta(cfg), "rows": rows}, fh, indent=1)
+        fh.write("\n")
+
+
+def assert_writers_match_reference(tmp_path, cfg, table):
+    new, ref = tmp_path / "new", tmp_path / "ref"
+    cli._write_csv(new, table)
+    reference_csv(ref, table)
+    assert new.read_bytes() == ref.read_bytes()
+    cli._write_json(new, cfg, table)
+    reference_json(ref, cfg, table)
+    assert new.read_bytes() == ref.read_bytes()
+
+
+def simulated_table(cfg):
+    return cli._records(bloch_trajectory(cfg.to_sim_params(), simulation_grid(cfg)))[0]
+
+
+@pytest.mark.parametrize("name", FIGURE_NAMES)
+def test_writers_byte_identical_on_bundled_figures(tmp_path, name):
+    cfg = parse_run_config(figure_config_text(name), {"t_max": "2"})
+    assert_writers_match_reference(tmp_path, cfg, simulated_table(cfg))
+
+
+def test_writers_byte_identical_across_blocks(tmp_path, monkeypatch):
+    # Two full blocks and a one-row partial block. The block is shrunk so the
+    # reference writers stay fast; the block loop does not depend on its size.
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 64)
+    cfg = parse_run_config(FIG1A_TEXT, {"t_max": str(2 * cli.BLOCK_ROWS), "dt": "1"})
+    table = simulated_table(cfg)
+    assert table.shape[0] == 2 * cli.BLOCK_ROWS + 1
+    assert_writers_match_reference(tmp_path, cfg, table)
+
+
+def test_writers_byte_identical_on_awkward_values(tmp_path):
+    values = [-0.0, 5e-324, 1e-7, 0.1, 1.0, 1e16, 1.2345678901234567e300]
+    signed = np.array(values + [-v for v in values])
+    table = np.resize(signed, (7, len(CSV_HEADER.split(","))))
+    assert_writers_match_reference(tmp_path, parse_run_config(FIG1A_TEXT), table)
