@@ -307,7 +307,7 @@ def dynamics_suite(t_max: float = 100.0, dt: float = 0.01) -> SuiteReport:
         trajectories[label] = traj
         unit = max(unit, np.abs((np.abs(traj.amplitudes) ** 2).sum(axis=1) - 1.0).max())
         norm = max(norm, np.abs((traj.bloch**2).sum(axis=1) - states.BLOCH_NORM_SQ).max())
-        m = dynamics.adjoint_generator(p).m
+        m = dynamics.adjoint_generator(p)
         antisym = max(antisym, np.abs(m + m.T).max())
         if p.delta == 0.0:
             s4_0, s2_0 = dynamics.sector_initial_norms(p)
@@ -339,13 +339,13 @@ def dynamics_suite(t_max: float = 100.0, dt: float = 0.01) -> SuiteReport:
     report.results.append(CheckResult(
         "dynamics/lambda-generator-reference",
         "generated Lambda M matches the derived coefficient table",
-        float(np.abs(dynamics.adjoint_generator(p_lambda).m - m_ref).max()), 1e-15,
+        float(np.abs(dynamics.adjoint_generator(p_lambda) - m_ref).max()), 1e-15,
     ))
 
     rk4_tol = 1e-6
     worst_rk4 = 0.0
     for label, p in sets.items():
-        m = dynamics.adjoint_generator(p).m
+        m = dynamics.adjoint_generator(p)
         theta, estimate = _rk4_error_estimate(m, dt, t_max)
         if estimate > RK4_GUARD_FRACTION * rk4_tol:
             dev = _rk4_deviation(p, trajectories[label], dt)

@@ -3,12 +3,15 @@
 Exit codes: 0 success, 1 verification failure, 2 I/O or configuration error,
 3 runtime invariant breach during a simulation (a non-finite table entry, or a
 Bloch-norm drift past ``RUNTIME_NORM_TOL``); no output file is written then.
+Output goes to a temporary file in the target's directory that is renamed
+onto the target, so exits 2 and 3 leave an existing file as it was.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -98,8 +101,11 @@ def _write_json(path: Path, cfg: RunConfig, table: np.ndarray) -> None:
 def run_simulate(cfg: RunConfig) -> int:
     """Run one trajectory and write it out; see module docstring for codes."""
     times = simulation_grid(cfg)
-    traj = bloch_trajectory(cfg.to_sim_params(), times)
-    table, norm2 = _records(traj)
+    # A huge but finite input overflows to inf/nan here; the check below
+    # reports that as one error line instead of numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = bloch_trajectory(cfg.to_sim_params(), times)
+        table, norm2 = _records(traj)
     if not np.isfinite(table).all():
         print("error: the trajectory has non-finite values; aborting without output",
               file=sys.stderr)
@@ -112,14 +118,20 @@ def run_simulate(cfg: RunConfig) -> int:
             file=sys.stderr,
         )
         return 3
+    # Write beside the target and rename over it, so a failed write never
+    # leaves a partial file at the output path.
+    tmp = Path(f"{cfg.output_path}.{os.getpid()}.tmp")
     try:
         if cfg.output_format == "csv":
-            _write_csv(cfg.output_path, table)
+            _write_csv(tmp, table)
         else:
-            _write_json(cfg.output_path, cfg, table)
+            _write_json(tmp, cfg, table)
+        os.replace(tmp, cfg.output_path)
     except OSError as exc:
-        print(f"error: cannot write {cfg.output_path}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {cfg.output_path}: {exc.strerror or exc}", file=sys.stderr)
         return 2
+    finally:
+        tmp.unlink(missing_ok=True)
     print(f"wrote {table.shape[0]} records to {cfg.output_path}")
     return 0
 

@@ -24,7 +24,7 @@ they are never renormalized silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .dynamics import Configuration, SimParams
@@ -79,9 +79,6 @@ class RunConfig:
             config=self.config, kappa_a=self.kappa_a, kappa_b=self.kappa_b,
             delta=self.delta, c0=self.c0, coupling_convention=self.convention,
         )
-
-    def with_overrides(self, **kwargs) -> "RunConfig":
-        return replace(self, **kwargs)
 
 
 def grid_rows(t_max: float, dt: float) -> int:

@@ -182,11 +182,11 @@ def test_criterion_08_lambda_generator_coefficients():
     worst = 0.0
     for kappa_a, kappa_b, delta in ((0.3, 0.2, 1.2), (0.7, 0.11, 3.0)):
         p = SimParams(Configuration.LAMBDA, kappa_a, kappa_b, delta)
-        m = adjoint_generator(p).m
+        m = adjoint_generator(p)
         worst = max(worst, float(np.abs(m - checks.lambda_generator_reference(p)).max()))
     # anchored row: the only level-8 coupling is to component 5, sqrt(3)/2 k13
     p = SimParams(Configuration.LAMBDA, 0.3, 0.2, 0.7)
-    row8 = adjoint_generator(p).m[7].copy()
+    row8 = adjoint_generator(p)[7].copy()
     anchor_ok = abs(row8[4] - SQ3 / 2.0 * 0.3) <= tol
     row8[4] = 0.0
     anchor_ok = anchor_ok and np.abs(row8).max() == 0.0

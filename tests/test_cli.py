@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -179,8 +181,8 @@ def test_run_simulate_deterministic_output(tmp_path):
 
 def test_csv_and_json_encode_identical_numbers(tmp_path):
     csv_cfg = short_cfg(tmp_path)
-    json_cfg = csv_cfg.with_overrides(
-        output_format="json", output_path=tmp_path / "out.json"
+    json_cfg = dataclasses.replace(
+        csv_cfg, output_format="json", output_path=tmp_path / "out.json"
     )
     assert run_simulate(csv_cfg) == 0
     assert run_simulate(json_cfg) == 0
@@ -230,13 +232,34 @@ def test_run_simulate_invariant_breach(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out.csv").exists()
 
     # A detuning this large turns every entry into nan, and the drift with it.
+    # stderr carries the CLI's one error line and no numpy warning.
     monkeypatch.undo()
     out = tmp_path / "nan.json"
     args = ["simulate", "--figure", "fig1a", "--set", "delta=1e308", "--set", "t_max=1"]
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(args + ["--format", "json", "--output", str(out)]) == 3
-    assert "non-finite" in capsys.readouterr().err
-    assert not out.exists()
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failed_write_keeps_existing_output(tmp_path, capsys, monkeypatch, fmt):
+    out = tmp_path / f"out.{fmt}"
+    out.write_bytes(b"earlier run\n")
+    real = cli._write_rows
+
+    def disk_full(fh, table, row, sep):
+        real(fh, table[:3], row, sep)  # a partial write, then the failure
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_rows", disk_full)
+    assert run_simulate(short_cfg(tmp_path, output=out, format=fmt)) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_bytes() == b"earlier run\n"
 
 
 def test_run_cardinal_output(capsys):

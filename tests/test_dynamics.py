@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qutrit_bloch import figures
 from qutrit_bloch.checks import lambda_generator_reference
 from qutrit_bloch.dynamics import (
     Configuration,
@@ -163,7 +164,7 @@ def test_trajectory_derivative_matches_liouville():
 
 
 def test_adjoint_generator_row8():
-    m = adjoint_generator(params(FIG_LAMBDA, delta=0.7)).m
+    m = adjoint_generator(params(FIG_LAMBDA, delta=0.7))
     row8 = m[7].copy()
     assert abs(row8[4] - SQ3 / 2 * 0.3) <= 1e-15
     row8[4] = 0.0
@@ -171,7 +172,7 @@ def test_adjoint_generator_row8():
 
 
 def test_adjoint_generator_free_evolution_zero():
-    m = adjoint_generator(SimParams(Configuration.LAMBDA, 0.0, 0.0, 0.0)).m
+    m = adjoint_generator(SimParams(Configuration.LAMBDA, 0.0, 0.0, 0.0))
     assert np.abs(m).max() == 0.0
 
 
@@ -179,7 +180,7 @@ def test_adjoint_generator_free_evolution_zero():
     (FIG_LAMBDA, 1.2), (FIG_VEE, 0.2), (FIG_XI, 20.0),
 ])
 def test_adjoint_generator_exactly_antisymmetric(base, delta):
-    m = adjoint_generator(params(base, delta=delta)).m
+    m = adjoint_generator(params(base, delta=delta))
     assert np.array_equal(m, -m.T)
 
 
@@ -188,7 +189,7 @@ def test_adjoint_generator_exactly_antisymmetric(base, delta):
 ])
 def test_lambda_generator_matches_reference_table(kappa_a, kappa_b, delta):
     p = SimParams(Configuration.LAMBDA, kappa_a, kappa_b, delta)
-    assert np.abs(adjoint_generator(p).m - lambda_generator_reference(p)).max() <= 1e-15
+    assert np.abs(adjoint_generator(p) - lambda_generator_reference(p)).max() <= 1e-15
 
 
 def test_integrate_constant_when_generator_vanishes():
@@ -216,6 +217,48 @@ def test_integrate_converges_on_stiff_ladder():
     rk = integrate_bloch_ode(p, times, 5e-4)
     exact = bloch_trajectory(p, times)
     assert np.abs(rk.bloch - exact.bloch).max() <= 1e-6
+
+
+def reference_rk4(p, times, dt):
+    """The per-step RK4 loop that the step-matrix powers must reproduce."""
+    m = adjoint_generator(p)
+    n = bloch_from_amplitudes(p.c0_array)
+    out = [n]
+    for count in np.rint(np.diff(times) / dt).astype(int):
+        for _ in range(count):
+            k1 = m @ n
+            k2 = m @ (n + 0.5 * dt * k1)
+            k3 = m @ (n + 0.5 * dt * k2)
+            k4 = m @ (n + dt * k3)
+            n = n + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(n)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("label", sorted(figures.parameter_sets()))
+def test_integrate_matches_step_loop_on_figure_sets(label):
+    p = figures.parameter_sets()[label]
+    times = np.arange(0.0, 5.0 + 1e-12, 0.5)
+    rk = integrate_bloch_ode(p, times, 0.01)
+    assert np.abs(rk.bloch - reference_rk4(p, times, 0.01)).max() <= 1e-12
+
+
+def test_integrate_matches_step_loop_on_uneven_grid():
+    # Intervals of 1, 2, 7 and 50 steps, two of them repeated.
+    dt = 0.01
+    times = dt * np.cumsum([0, 1, 2, 7, 50, 2, 1, 50])
+    for p in (params(FIG_LAMBDA, delta=1.2), params(FIG_XI, delta=20.0)):
+        rk = integrate_bloch_ode(p, times, dt)
+        assert np.abs(rk.bloch - reference_rk4(p, times, dt)).max() <= 1e-12
+
+
+def test_integrate_keeps_rk4_deviation_on_stiff_ladder():
+    # Same method, same truncation error: the unresolved xi@20 run keeps the
+    # deviation from the exact propagator that the step loop had.
+    p = figures.parameter_sets()["xi@20"]
+    times = np.arange(0.0, 100.0 + 1e-12, 0.5)
+    dev = np.abs(integrate_bloch_ode(p, times, 0.01).bloch - bloch_trajectory(p, times).bloch).max()
+    assert f"{dev:.3e}" == "4.750e-01"
 
 
 def test_integrate_step_grid_mismatch_rejected():
@@ -246,7 +289,7 @@ def test_sector_index_sets(config, expected):
 def test_sector_split_is_generator_block_structure(config):
     base = {Configuration.LAMBDA: FIG_LAMBDA, Configuration.VEE: FIG_VEE,
             Configuration.XI: FIG_XI}[config]
-    m = adjoint_generator(params(base)).m
+    m = adjoint_generator(params(base))
     set4, set2 = sector_index_sets(config)
     cross = max(abs(m[i - 1, j - 1]) for i in set4 for j in set2)
     assert cross == 0.0
