@@ -100,6 +100,9 @@ def _write_json(path: Path, cfg: RunConfig, table: np.ndarray) -> None:
 
 def run_simulate(cfg: RunConfig) -> int:
     """Run one trajectory and write it out; see module docstring for codes."""
+    if cfg.output_path.is_dir():
+        print(f"error: cannot write {cfg.output_path}: Is a directory", file=sys.stderr)
+        return 2
     times = simulation_grid(cfg)
     # A huge but finite input overflows to inf/nan here; the check below
     # reports that as one error line instead of numpy warnings.
@@ -171,8 +174,8 @@ def _load_simulate_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("exactly one of --config or --figure is required")
     if args.config is not None:
         try:
-            text = Path(args.config).read_text()
-        except OSError as exc:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read {args.config}: {exc}") from None
     else:
         try:

@@ -14,6 +14,7 @@ comments. Recognized keys:
     c0_im        three comma-separated reals                (default: 0,0,0)
     convention   half | full                                (default: half)
     emit         timeseries | phase_portrait | sectors      (default: timeseries)
+                 (a label: echoed in the JSON meta, changes nothing else)
     format       csv | json                                 (default: csv)
     output       output file path                           (default: trajectory.<format>)
 
@@ -180,7 +181,8 @@ def parse_run_config(text: str, overrides: dict[str, str] | None = None) -> RunC
     if "c0_im" in pairs:
         c0_im = _parse_triple("c0_im", *pairs["c0_im"])
     c0 = tuple(complex(re, im) for re, im in zip(c0_re, c0_im))
-    norm_sq = sum(abs(x) ** 2 for x in c0)
+    # Products, not abs() or **: a huge entry gives inf here, not OverflowError.
+    norm_sq = sum(x.real * x.real + x.imag * x.imag for x in c0)
     if abs(norm_sq - 1.0) > C0_NORM_TOL:
         key = "c0_re" if "c0_re" in pairs else "c0_im"
         raise ConfigError(

@@ -58,34 +58,43 @@ class BlochRegionError(ValueError):
 
 @dataclass(frozen=True)
 class AngleParams:
-    """Geometric qutrit angles: theta1, theta2 in [0, pi], phi1, phi2 in [0, 2 pi)."""
+    """Geometric qutrit angles: theta1, theta2 in [0, pi], phi1, phi2 in [0, 2 pi).
 
-    theta1: float
-    theta2: float
-    phi1: float = 0.0
-    phi2: float = 0.0
+    Each angle is a float, or an array of angles for a batch of states (the
+    four broadcast against each other); every entry is range-checked.
+    """
+
+    theta1: float | np.ndarray
+    theta2: float | np.ndarray
+    phi1: float | np.ndarray = 0.0
+    phi2: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
         for name in ("theta1", "theta2"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= math.pi:
+            v = np.asarray(getattr(self, name))
+            if not np.all((0.0 <= v) & (v <= math.pi)):
                 raise ValueError(f"{name}={v} outside [0, pi]")
         for name in ("phi1", "phi2"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 2.0 * math.pi:
+            v = np.asarray(getattr(self, name))
+            if not np.all((0.0 <= v) & (v < 2.0 * math.pi)):
                 raise ValueError(f"{name}={v} outside [0, 2 pi)")
 
 
 def state_from_angles(a: AngleParams) -> np.ndarray:
-    """Return the normalized amplitude triple (c1, c2, c3) for the given angles."""
-    half1, half2 = a.theta1 / 2.0, a.theta2 / 2.0
-    return np.array(
+    """Return the normalized amplitude triple (c1, c2, c3) for the given angles.
+
+    Shape (3,) for scalar angles, (..., 3) for arrays of angles.
+    """
+    theta1, theta2, phi1, phi2 = np.broadcast_arrays(a.theta1, a.theta2, a.phi1, a.phi2)
+    half1, half2 = theta1 / 2.0, theta2 / 2.0
+    sin_h1 = np.sin(half1)
+    return np.stack(
         [
-            math.cos(half1),
-            np.exp(1j * a.phi1) * math.sin(half1) * math.sin(half2),
-            np.exp(1j * a.phi2) * math.sin(half1) * math.cos(half2),
+            np.cos(half1) + 0j,
+            np.exp(1j * phi1) * sin_h1 * np.sin(half2),
+            np.exp(1j * phi2) * sin_h1 * np.cos(half2),
         ],
-        dtype=complex,
+        axis=-1,
     )
 
 
@@ -130,9 +139,9 @@ def validate_pure_state(c: np.ndarray, atol: float = ATOL_NUMERIC) -> np.ndarray
 
 
 def density_from_state(c: np.ndarray) -> np.ndarray:
-    """Return rho = |psi><psi| for a normalized amplitude triple."""
+    """Return rho = |psi><psi| for amplitude triple(s): (3,) -> (3, 3), (N, 3) -> (N, 3, 3)."""
     c = np.asarray(c, dtype=complex)
-    return np.outer(c, c.conj())
+    return c[..., :, None] * c[..., None, :].conj()
 
 
 def validate_density(rho: np.ndarray) -> np.ndarray:
@@ -153,14 +162,15 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
 
 
 def bloch_from_density(rho: np.ndarray) -> np.ndarray:
-    """Map a density matrix to its Bloch vector, n_k = Tr[lambda_k rho].
+    """Map density matrices to Bloch vectors, n_k = Tr[lambda_k rho].
 
-    The eight traces must be real up to 1e-12; a larger imaginary residue
-    indicates a non-Hermitian input and raises :class:`ConsistencyError`.
+    Accepts shape (3, 3) or (N, 3, 3) and returns (8,) or (N, 8). The traces
+    must be real up to 1e-12; a larger imaginary residue indicates a
+    non-Hermitian input and raises :class:`ConsistencyError`.
     """
     rho = np.asarray(rho, dtype=complex)
     lam = np.stack(gellmann_basis()[1:])
-    traces = np.einsum("kij,ji->k", lam, rho)
+    traces = np.einsum("kij,...ji->...k", lam, rho)
     residue = np.abs(traces.imag).max()
     if residue > ATOL_NUMERIC:
         raise ConsistencyError(f"Bloch traces not real (residue {residue:.3e})")
@@ -205,6 +215,7 @@ def bloch_from_amplitudes(c: np.ndarray) -> np.ndarray:
 def bloch_geometric(a: AngleParams) -> np.ndarray:
     """Closed-form Bloch vector of the angle parametrization.
 
+    Shape (8,) for scalar angles, (..., 8) for arrays of angles.
     Componentwise (s1 = sin theta1, and so on):
 
         n1 = s1 sin(theta2/2) cos(phi1)     n2 =  s1 sin(theta2/2) sin(phi1)
@@ -219,20 +230,22 @@ def bloch_geometric(a: AngleParams) -> np.ndarray:
     theta1 = 0 the component must equal 1/sqrt(3), and the squared norm must
     come out exactly 4/3 for every angle tuple.
     """
-    s1, c1 = math.sin(a.theta1), math.cos(a.theta1)
-    s2, c2 = math.sin(a.theta2), math.cos(a.theta2)
-    sin_h1_sq = math.sin(a.theta1 / 2.0) ** 2
-    return np.array(
+    theta1, theta2, phi1, phi2 = np.broadcast_arrays(a.theta1, a.theta2, a.phi1, a.phi2)
+    s1, c1 = np.sin(theta1), np.cos(theta1)
+    s2, c2 = np.sin(theta2), np.cos(theta2)
+    sin_h1_sq = np.sin(theta1 / 2.0) ** 2
+    return np.stack(
         [
-            s1 * math.sin(a.theta2 / 2.0) * math.cos(a.phi1),
-            s1 * math.sin(a.theta2 / 2.0) * math.sin(a.phi1),
-            math.cos(a.theta1 / 2.0) ** 2 - sin_h1_sq * math.sin(a.theta2 / 2.0) ** 2,
-            s1 * math.cos(a.theta2 / 2.0) * math.cos(a.phi2),
-            s1 * math.cos(a.theta2 / 2.0) * math.sin(a.phi2),
-            sin_h1_sq * s2 * math.cos(a.phi1 - a.phi2),
-            -sin_h1_sq * s2 * math.sin(a.phi1 - a.phi2),
+            s1 * np.sin(theta2 / 2.0) * np.cos(phi1),
+            s1 * np.sin(theta2 / 2.0) * np.sin(phi1),
+            np.cos(theta1 / 2.0) ** 2 - sin_h1_sq * np.sin(theta2 / 2.0) ** 2,
+            s1 * np.cos(theta2 / 2.0) * np.cos(phi2),
+            s1 * np.cos(theta2 / 2.0) * np.sin(phi2),
+            sin_h1_sq * s2 * np.cos(phi1 - phi2),
+            -sin_h1_sq * s2 * np.sin(phi1 - phi2),
             ((1.0 - 3.0 * c2) + 3.0 * c1 * (1.0 + c2)) / (4.0 * _SQRT3),
-        ]
+        ],
+        axis=-1,
     )
 
 

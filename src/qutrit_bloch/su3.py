@@ -17,6 +17,7 @@ __all__ = [
     "ATOL_EXACT",
     "ATOL_NUMERIC",
     "ConsistencyError",
+    "PERMUTATION_SIGN",
     "StructureConstants",
     "anticommutator",
     "commutator",
@@ -32,6 +33,12 @@ __all__ = [
 ATOL_EXACT = 1e-14
 #: Tolerance for identities reached through compounded floating arithmetic.
 ATOL_NUMERIC = 1e-12
+
+#: Sign of each permutation of (0, 1, 2): +1 if even, -1 if odd.
+PERMUTATION_SIGN = {
+    (0, 1, 2): 1.0, (0, 2, 1): -1.0, (1, 0, 2): -1.0,
+    (1, 2, 0): 1.0, (2, 0, 1): 1.0, (2, 1, 0): -1.0,
+}
 
 _SQRT3 = np.sqrt(3.0)
 
@@ -139,10 +146,6 @@ def derive_structure_constants(basis) -> StructureConstants:
     lam = [np.asarray(basis[k], dtype=complex) for k in range(9)]
     f = np.zeros((8, 8, 8))
     d = np.zeros((8, 8, 8))
-    signature = {
-        (0, 1, 2): 1.0, (0, 2, 1): -1.0, (1, 0, 2): -1.0,
-        (1, 2, 0): 1.0, (2, 0, 1): 1.0, (2, 1, 0): -1.0,
-    }
     for triple in combinations_with_replacement(range(8), 3):
         a, b, c = (lam[i + 1] for i in triple)
         td = np.trace(anticommutator(a, b) @ c) / 4.0
@@ -159,8 +162,8 @@ def derive_structure_constants(basis) -> StructureConstants:
             raise ConsistencyError(
                 f"f-trace for {triple} has imaginary residue {tf.imag:.3e}"
             )
-        for perm in permutations(range(3)):
-            f[tuple(triple[i] for i in perm)] = signature[perm] * tf.real
+        for perm, sign in PERMUTATION_SIGN.items():
+            f[tuple(triple[i] for i in perm)] = sign * tf.real
     return StructureConstants(f=_readonly(f), d=_readonly(d))
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from qutrit_bloch import checks, cli, states
 from qutrit_bloch.cli import (
@@ -17,6 +19,7 @@ from qutrit_bloch.cli import (
     simulation_grid,
 )
 from qutrit_bloch.config import (
+    _ALL_KEYS,
     MAX_GRID_ROWS,
     ConfigError,
     grid_rows,
@@ -106,6 +109,37 @@ def test_override_precedence():
     assert cfg.output_path == Path("x.json")
     with pytest.raises(ConfigError):
         parse_run_config(FIG1A_TEXT, {"nonsense": "1"})
+
+
+# Documents over the known keys: a valid fig1a document with up to two keys
+# dropped or given an arbitrary text, a float, a triple of floats or a word
+# the parser knows.
+_FIG1A_PAIRS = dict(line.split("=") for line in FIG1A_TEXT.split())
+_VALUES = st.one_of(
+    st.none(),
+    st.text(),
+    st.floats().map(repr),
+    st.floats(0.0, 1e3).map(repr),
+    st.lists(st.floats().map(repr), min_size=3, max_size=3).map(",".join),
+    st.sampled_from(["lambda", "vee", "xi", "half", "full", "timeseries", "phase_portrait",
+                     "sectors", "csv", "json", "0.6,0.8,0", "1e200,0,0", "1e-320"]),
+)
+_DOCUMENTS = st.dictionaries(st.sampled_from(_ALL_KEYS), _VALUES, max_size=2).map(
+    lambda drawn: "\n".join(
+        f"{key}={value}" for key, value in {**_FIG1A_PAIRS, **drawn}.items() if value is not None
+    )
+)
+
+
+@seed(4)
+@settings(max_examples=400, deadline=None)
+@given(_DOCUMENTS)
+def test_any_document_parses_or_raises_config_error(text):
+    try:
+        cfg = parse_run_config(text)
+    except ConfigError:
+        return
+    assert parse_run_config(render_run_config(cfg)) == cfg
 
 
 @pytest.mark.parametrize("name", FIGURE_NAMES)
@@ -289,7 +323,7 @@ def test_run_verify_names_broken_invariant(monkeypatch, capsys):
 
     def broken(a):
         n = real(a).copy()
-        n[7] *= 2.0  # as if the closed form carried half the true prefactor
+        n[..., 7] *= 2.0  # as if the closed form carried half the true prefactor
         return n
 
     monkeypatch.setattr(states, "bloch_geometric", broken)
@@ -331,6 +365,30 @@ def test_main_simulate_requires_exactly_one_source(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "exactly one" in err
     assert "cannot read" in err
+
+
+def test_main_simulate_config_not_utf8(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_bytes(b"\xff\xfe" + FIG1A_TEXT.encode())
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+@pytest.mark.parametrize("output", [".", ""])
+def test_directory_output_refused_before_any_work(tmp_path, capsys, monkeypatch, output):
+    def no_run(p, times):
+        raise AssertionError("the trajectory ran for a directory output")
+
+    monkeypatch.setattr(cli, "bloch_trajectory", no_run)
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--figure", "fig1a", "--output", output]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot write .: Is a directory\n"
+    assert main(["simulate", "--figure", "fig1a", "--output", str(tmp_path)]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_main_simulate_bad_override(capsys):

@@ -56,6 +56,45 @@ def test_angle_ranges_rejected(field, value):
         AngleParams(**kwargs)
 
 
+def test_angle_params_reject_one_bad_entry_of_an_array():
+    ok = np.full(5, 1.0)
+    bad = ok.copy()
+    bad[3] = math.pi + 1e-9
+    AngleParams(ok, ok, ok, ok)
+    with pytest.raises(ValueError):
+        AngleParams(ok, bad, ok, ok)
+    bad[3] = 2 * math.pi
+    with pytest.raises(ValueError):
+        AngleParams(ok, ok, ok, bad)
+
+
+def test_array_angles_match_scalar_calls_row_by_row():
+    sample = sample_angles(300)
+    batch = AngleParams(*(np.array([getattr(a, f) for a in sample])
+                          for f in ("theta1", "theta2", "phi1", "phi2")))
+    amps, geo = state_from_angles(batch), bloch_geometric(batch)
+    assert amps.shape == (300, 3) and geo.shape == (300, 8)
+    # scalar phases broadcast against arrays of polar angles
+    assert bloch_geometric(AngleParams(batch.theta1, batch.theta2)).shape == (300, 8)
+    for a, c, n in zip(sample, amps, geo):
+        assert np.abs(state_from_angles(a) - c).max() <= 1e-15
+        assert np.abs(bloch_geometric(a) - n).max() <= 1e-15
+    rhos = density_from_state(amps)
+    assert rhos.shape == (300, 3, 3)
+    assert np.array_equal(rhos[7], density_from_state(amps[7]))
+    traced = bloch_from_density(rhos)
+    assert traced.shape == (300, 8)
+    assert np.abs(traced[7] - bloch_from_density(rhos[7])).max() <= 1e-15
+
+
+def test_scalar_angles_keep_single_shapes():
+    a = AngleParams(1.0, 2.0, 3.0, 4.0)
+    assert state_from_angles(a).shape == (3,)
+    assert bloch_geometric(a).shape == (8,)
+    assert density_from_state(state_from_angles(a)).shape == (3, 3)
+    assert bloch_from_density(density_from_state(state_from_angles(a))).shape == (8,)
+
+
 def test_state_from_angles_poles():
     c = state_from_angles(AngleParams(0.0, 2.0, 1.0, 5.0))
     assert np.allclose(c, [1, 0, 0], atol=1e-15)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qutrit_bloch.checks import D_REFERENCE, F_REFERENCE, SHIFT_ACTIONS
 from qutrit_bloch.su3 import (
     ConsistencyError,
     anticommutator,
@@ -16,24 +17,6 @@ from qutrit_bloch.su3 import (
 )
 
 SQ3 = math.sqrt(3.0)
-
-# Canonical nonzero structure constants, one-based indices.
-F_KNOWN = {
-    (1, 2, 3): 1.0,
-    (1, 4, 7): 0.5, (1, 5, 6): -0.5,
-    (2, 4, 6): 0.5, (2, 5, 7): 0.5,
-    (3, 4, 5): 0.5, (3, 6, 7): -0.5,
-    (4, 5, 8): SQ3 / 2.0, (6, 7, 8): SQ3 / 2.0,
-}
-D_KNOWN = {
-    (1, 1, 8): 1.0 / SQ3, (2, 2, 8): 1.0 / SQ3, (3, 3, 8): 1.0 / SQ3,
-    (8, 8, 8): -1.0 / SQ3,
-    (4, 4, 8): -0.5 / SQ3, (5, 5, 8): -0.5 / SQ3,
-    (6, 6, 8): -0.5 / SQ3, (7, 7, 8): -0.5 / SQ3,
-    (1, 4, 6): 0.5, (1, 5, 7): 0.5, (2, 4, 7): -0.5, (2, 5, 6): 0.5,
-    (3, 4, 4): 0.5, (3, 5, 5): 0.5, (3, 6, 6): -0.5, (3, 7, 7): -0.5,
-}
-
 
 def test_gellmann_explicit_matrices():
     assert np.array_equal(gellmann(0), np.eye(3))
@@ -80,23 +63,9 @@ def test_shift_plus_minus_adjoint(family):
     assert np.array_equal(three, three.conj().T)
 
 
-# (family, kind) -> action on |1>, |2>, |3>: None or (target, sign)
-ACTION_TABLE = {
-    ("T", "plus"): (None, (1, 1), None),
-    ("T", "minus"): ((2, 1), None, None),
-    ("T", "three"): ((1, 1), (2, -1), None),
-    ("V", "plus"): (None, None, (1, 1)),
-    ("V", "minus"): ((3, 1), None, None),
-    ("V", "three"): ((1, 1), None, (3, -1)),
-    ("U", "plus"): (None, None, (2, 1)),
-    ("U", "minus"): (None, (3, 1), None),
-    ("U", "three"): (None, (2, 1), (3, -1)),
-}
-
-
 def test_all_27_shift_actions_exact():
     e = np.eye(3, dtype=complex)
-    for (family, kind), actions in ACTION_TABLE.items():
+    for (family, kind), actions in SHIFT_ACTIONS.items():
         op = shift_operator(family, kind)
         for src, action in enumerate(actions):
             expected = np.zeros(3, dtype=complex)
@@ -129,9 +98,9 @@ def test_structure_constant_values():
     assert abs(sc.f[0, 1, 2] - 1.0) <= 1e-14
     assert sc.f[0, 0, 1] == 0.0
     assert abs(sc.d[7, 7, 7] + 1.0 / SQ3) <= 1e-14
-    for (l, m, n), v in F_KNOWN.items():
+    for (l, m, n), v in F_REFERENCE.items():
         assert abs(sc.f[l - 1, m - 1, n - 1] - v) <= 1e-14, (l, m, n)
-    for (l, m, n), v in D_KNOWN.items():
+    for (l, m, n), v in D_REFERENCE.items():
         assert abs(sc.d[l - 1, m - 1, n - 1] - v) <= 1e-14, (l, m, n)
 
 
@@ -139,8 +108,8 @@ def test_structure_constant_tables_have_no_extra_entries():
     sc = structure_constants()
     f_support = {tuple(sorted(idx)) for idx in zip(*np.nonzero(np.abs(sc.f) > 1e-14))}
     d_support = {tuple(sorted(idx)) for idx in zip(*np.nonzero(np.abs(sc.d) > 1e-14))}
-    assert f_support == {tuple(sorted(i - 1 for i in k)) for k in F_KNOWN}
-    assert d_support == {tuple(sorted(i - 1 for i in k)) for k in D_KNOWN}
+    assert f_support == {tuple(sorted(i - 1 for i in k)) for k in F_REFERENCE}
+    assert d_support == {tuple(sorted(i - 1 for i in k)) for k in D_REFERENCE}
 
 
 def test_structure_constant_exact_symmetry():
