@@ -10,6 +10,7 @@ onto the target, so exits 2 and 3 leave an existing file as it was.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, figures
-from .config import ConfigError, RunConfig, grid_rows, parse_run_config
+from .config import ConfigError, RunConfig, grid_rows, parse_run_config, run_config_dict
 from .dynamics import Trajectory, bloch_trajectory
 from .states import BLOCH_NORM_SQ, CARDINAL_LABELS, bloch_from_amplitudes, cardinal_state
 
@@ -70,27 +71,10 @@ def _write_csv(path: Path, table: np.ndarray) -> None:
         _write_rows(fh, table, _CSV_ROW, "")
 
 
-def _meta(cfg: RunConfig) -> dict:
-    return {
-        "config": cfg.config.value,
-        "kappa_a": cfg.kappa_a,
-        "kappa_b": cfg.kappa_b,
-        "delta": cfg.delta,
-        "c0_re": [x.real for x in cfg.c0],
-        "c0_im": [x.imag for x in cfg.c0],
-        "convention": cfg.convention,
-        "t_max": cfg.t_max,
-        "dt": cfg.dt,
-        "emit": cfg.emit,
-        "format": cfg.output_format,
-        "output": str(cfg.output_path),
-    }
-
-
 def _write_json(path: Path, cfg: RunConfig, table: np.ndarray) -> None:
     """The layout of ``json.dump({"meta": ..., "rows": [{field: value}, ...]}, indent=1)``."""
     # json lays out the frame; the rows go where the one placeholder row sits.
-    frame = json.dumps({"meta": _meta(cfg), "rows": [None]}, indent=1)
+    frame = json.dumps({"meta": run_config_dict(cfg), "rows": [None]}, indent=1)
     head, tail = frame.rsplit("null", 1)
     with open(path, "w", newline="\n") as fh:
         fh.write(head)
@@ -100,14 +84,17 @@ def _write_json(path: Path, cfg: RunConfig, table: np.ndarray) -> None:
 
 def run_simulate(cfg: RunConfig) -> int:
     """Run one trajectory and write it out; see module docstring for codes."""
-    if cfg.output_path.is_dir():
-        print(f"error: cannot write {cfg.output_path}: Is a directory", file=sys.stderr)
+    # Refuse an output that cannot be opened before any work is done.
+    out = cfg.output_path
+    if os.path.isdir(out) or not os.path.isdir(out.parent):
+        reason = "Is a directory" if os.path.isdir(out) else "No such file or directory"
+        print(f"error: cannot write {out}: {reason}", file=sys.stderr)
         return 2
     times = simulation_grid(cfg)
     # A huge but finite input overflows to inf/nan here; the check below
     # reports that as one error line instead of numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        traj = bloch_trajectory(cfg.to_sim_params(), times)
+        traj = bloch_trajectory(cfg.params, times)
         table, norm2 = _records(traj)
     if not np.isfinite(table).all():
         print("error: the trajectory has non-finite values; aborting without output",
@@ -123,19 +110,21 @@ def run_simulate(cfg: RunConfig) -> int:
         return 3
     # Write beside the target and rename over it, so a failed write never
     # leaves a partial file at the output path.
-    tmp = Path(f"{cfg.output_path}.{os.getpid()}.tmp")
+    tmp = Path(f"{out}.{os.getpid()}.tmp")
     try:
         if cfg.output_format == "csv":
             _write_csv(tmp, table)
         else:
             _write_json(tmp, cfg, table)
-        os.replace(tmp, cfg.output_path)
+        os.replace(tmp, out)
     except OSError as exc:
-        print(f"error: cannot write {cfg.output_path}: {exc.strerror or exc}", file=sys.stderr)
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     finally:
-        tmp.unlink(missing_ok=True)
-    print(f"wrote {table.shape[0]} records to {cfg.output_path}")
+        # No temp file is left after the rename, or when the OS refused its name.
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+    print(f"wrote {table.shape[0]} records to {out}")
     return 0
 
 
@@ -175,7 +164,7 @@ def _load_simulate_config(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         try:
             text = Path(args.config).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL
             raise ConfigError(f"cannot read {args.config}: {exc}") from None
     else:
         try:

@@ -18,17 +18,22 @@ comments. Recognized keys:
     format       csv | json                                 (default: csv)
     output       output file path                           (default: trajectory.<format>)
 
-Unknown keys are rejected. The initial amplitudes must arrive normalized;
-they are never renormalized silently.
+Unknown keys are rejected. The initial amplitudes must arrive normalized,
+|c0|^2 within ATOL_NUMERIC = 1e-12 of 1; they are never renormalized
+silently. An output path the OS cannot take (a NUL byte, an unencodable
+character) is refused here; a directory or a missing parent directory is
+refused by ``cli.run_simulate`` before any work.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from .dynamics import Configuration, SimParams
+from .su3 import ATOL_NUMERIC
 
 __all__ = [
     "ConfigError",
@@ -37,10 +42,8 @@ __all__ = [
     "grid_rows",
     "parse_run_config",
     "render_run_config",
+    "run_config_dict",
 ]
-
-#: Parse-time ceiling on |norm(c0)^2 - 1|.
-C0_NORM_TOL = 1e-9
 
 #: Largest simulation grid a run may ask for, in rows: 100x the 10001 rows
 #: of a bundled figure. Refused at parse time, before anything is allocated.
@@ -63,23 +66,12 @@ class ConfigError(ValueError):
 class RunConfig:
     """Fully validated inputs of one simulation run."""
 
-    config: Configuration
-    kappa_a: float
-    kappa_b: float
-    delta: float
-    c0: tuple[complex, complex, complex]
-    convention: str
+    params: SimParams
     t_max: float
     dt: float
     emit: str
     output_format: str
     output_path: Path
-
-    def to_sim_params(self) -> SimParams:
-        return SimParams(
-            config=self.config, kappa_a=self.kappa_a, kappa_b=self.kappa_b,
-            delta=self.delta, c0=self.c0, coupling_convention=self.convention,
-        )
 
 
 def grid_rows(t_max: float, dt: float) -> int:
@@ -129,6 +121,14 @@ def _parse_triple(key: str, value: str, lineno: int) -> tuple[float, float, floa
     if len(parts) != 3:
         raise ConfigError(f"line {lineno}: {key} needs 3 comma-separated values")
     return tuple(_parse_float(key, p, lineno) for p in parts)  # type: ignore[return-value]
+
+
+def _usable_path(text: str) -> bool:
+    """Whether the OS takes ``text`` as a path: it encodes and holds no NUL byte."""
+    try:
+        return b"\0" not in os.fsencode(text)
+    except UnicodeEncodeError:
+        return False
 
 
 def parse_run_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
@@ -183,7 +183,7 @@ def parse_run_config(text: str, overrides: dict[str, str] | None = None) -> RunC
     c0 = tuple(complex(re, im) for re, im in zip(c0_re, c0_im))
     # Products, not abs() or **: a huge entry gives inf here, not OverflowError.
     norm_sq = sum(x.real * x.real + x.imag * x.imag for x in c0)
-    if abs(norm_sq - 1.0) > C0_NORM_TOL:
+    if abs(norm_sq - 1.0) > ATOL_NUMERIC:
         key = "c0_re" if "c0_re" in pairs else "c0_im"
         raise ConfigError(
             f"c0_re/c0_im give |c0|^2 = {norm_sq!r}, not normalized"
@@ -200,23 +200,50 @@ def parse_run_config(text: str, overrides: dict[str, str] | None = None) -> RunC
     if output_format not in OUTPUT_FORMATS:
         raise ConfigError(f"{where('format')}: format must be csv or json")
     output = pairs.get("output", (f"trajectory.{output_format}", 0))[0]
+    if not _usable_path(output):
+        raise ConfigError(f"{where('output')}: output is not a usable file name: {output!r}")
 
-    cfg = RunConfig(
-        config=config,
-        kappa_a=numbers["kappa_a"], kappa_b=numbers["kappa_b"], delta=numbers["delta"],
-        c0=c0, convention=convention,
-        t_max=numbers["t_max"], dt=numbers["dt"],
-        emit=emit, output_format=output_format, output_path=Path(output),
-    )
-    try:
-        cfg.to_sim_params()  # strict invariant check, refuses renormalization
+    try:  # strict invariant check, refuses renormalization
+        params = SimParams(
+            config=config, kappa_a=numbers["kappa_a"], kappa_b=numbers["kappa_b"],
+            delta=numbers["delta"], c0=c0, coupling_convention=convention,
+        )
     except ValueError as exc:
         raise ConfigError(f"c0_re/c0_im: {exc}") from None
-    return cfg
+    return RunConfig(
+        params=params, t_max=numbers["t_max"], dt=numbers["dt"],
+        emit=emit, output_format=output_format, output_path=Path(output),
+    )
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+def run_config_dict(cfg: RunConfig) -> dict[str, str | float | list[float]]:
+    """Every key of ``cfg``'s document with its typed value, in document order.
+
+    The c0 triples are lists of floats. The JSON ``meta`` block is this mapping.
+    """
+    p = cfg.params
+    return {
+        "config": p.config.value,
+        "kappa_a": p.kappa_a,
+        "kappa_b": p.kappa_b,
+        "delta": p.delta,
+        "c0_re": [x.real for x in p.c0],
+        "c0_im": [x.imag for x in p.c0],
+        "convention": p.coupling_convention,
+        "t_max": cfg.t_max,
+        "dt": cfg.dt,
+        "emit": cfg.emit,
+        "format": cfg.output_format,
+        "output": str(cfg.output_path),
+    }
+
+
+def _fmt(value: str | float | list[float]) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return ",".join(map(_fmt, value))
+    return format(value, ".17g")
 
 
 def render_run_config(cfg: RunConfig) -> str:
@@ -225,18 +252,4 @@ def render_run_config(cfg: RunConfig) -> str:
     The output parses back to an equal RunConfig (17 significant digits
     round-trip doubles exactly).
     """
-    lines = [
-        f"config={cfg.config.value}",
-        f"kappa_a={_fmt(cfg.kappa_a)}",
-        f"kappa_b={_fmt(cfg.kappa_b)}",
-        f"delta={_fmt(cfg.delta)}",
-        "c0_re=" + ",".join(_fmt(x.real) for x in cfg.c0),
-        "c0_im=" + ",".join(_fmt(x.imag) for x in cfg.c0),
-        f"convention={cfg.convention}",
-        f"t_max={_fmt(cfg.t_max)}",
-        f"dt={_fmt(cfg.dt)}",
-        f"emit={cfg.emit}",
-        f"format={cfg.output_format}",
-        f"output={cfg.output_path}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key}={_fmt(value)}\n" for key, value in run_config_dict(cfg).items())

@@ -71,13 +71,6 @@ class Configuration(Enum):
             raise ValueError(f"unknown configuration {label!r}; expected {valid}") from None
 
 
-#: Which physical coupling each SimParams slot denotes, per configuration.
-COUPLING_NAMES: dict[Configuration, tuple[str, str]] = {
-    Configuration.LAMBDA: ("kappa13", "kappa23"),
-    Configuration.VEE: ("kappa13", "kappa12"),
-    Configuration.XI: ("kappa12", "kappa23"),
-}
-
 _EQUAL_POPULATIONS = (
     complex(1.0 / _SQRT3), complex(1.0 / _SQRT3), complex(1.0 / _SQRT3),
 )
@@ -88,10 +81,10 @@ class SimParams:
     """Inputs of one rotating-frame simulation at equal detuning.
 
     ``kappa_a`` and ``kappa_b`` are the two drive couplings; their physical
-    names depend on the configuration (see :data:`COUPLING_NAMES`). ``delta``
-    is the shared detuning. ``coupling_convention`` selects whether the
-    Hamiltonian off-diagonals carry kappa/2 (``half``, the default) or bare
-    kappa (``full``).
+    names depend on the configuration (README, "Run configuration format").
+    ``delta`` is the shared detuning. ``coupling_convention`` selects whether
+    the Hamiltonian off-diagonals carry kappa/2 (``half``, the default) or
+    bare kappa (``full``).
     """
 
     config: Configuration

@@ -40,7 +40,6 @@ def parameter_sets() -> dict[str, SimParams]:
     """
     out: dict[str, SimParams] = {}
     for name in FIGURE_NAMES:
-        cfg = load_figure(name)
-        key = f"{cfg.config.value}@{cfg.delta:g}"
-        out.setdefault(key, cfg.to_sim_params())
+        p = load_figure(name).params
+        out.setdefault(f"{p.config.value}@{p.delta:g}", p)
     return out

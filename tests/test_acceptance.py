@@ -132,8 +132,8 @@ def test_criterion_11_cli_reproduction(cli_runs):
         assert table.shape == (10001, 20), name
         worst_norm = max(worst_norm, float(np.abs(table[:, -1] - BLOCH_NORM_SQ).max()))
         cfg = figures.load_figure(name)
-        if cfg.delta == 0.0:
-            s4_0, s2_0 = sector_initial_norms(cfg.to_sim_params())
+        if cfg.params.delta == 0.0:
+            s4_0, s2_0 = sector_initial_norms(cfg.params)
             worst_sector = max(
                 worst_sector,
                 float(np.abs(table[:, 17] - s4_0).max()),
@@ -160,7 +160,7 @@ def test_criterion_11_json_format_matches(cli_runs, tmp_path):
     assert proc.returncode == 0, proc.stderr
     obj = json.loads(out.read_text())
     assert obj["meta"]["emit"] == "timeseries"
-    p = figures.load_figure("fig1a").to_sim_params()
+    p = figures.load_figure("fig1a").params
     times = np.arange(0, 201) * 0.01
     expected = bloch_trajectory(p, times)
     got = np.array([[row[f"n{k}"] for k in range(1, 9)] for row in obj["rows"]])

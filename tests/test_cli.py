@@ -1,15 +1,16 @@
 import dataclasses
 import json
 import math
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
-from qutrit_bloch import checks, cli, states
+from qutrit_bloch import checks, cli, config, states
 from qutrit_bloch.cli import (
     CSV_HEADER,
     main,
@@ -25,6 +26,7 @@ from qutrit_bloch.config import (
     grid_rows,
     parse_run_config,
     render_run_config,
+    run_config_dict,
 )
 from qutrit_bloch.dynamics import Configuration, bloch_trajectory
 from qutrit_bloch.figures import FIGURE_NAMES, figure_config_text, load_figure, parameter_sets
@@ -40,28 +42,28 @@ def short_cfg(tmp_path, **overrides):
 
 def test_parse_minimal_document_defaults():
     cfg = parse_run_config(FIG1A_TEXT)
-    assert cfg.config is Configuration.LAMBDA
-    assert (cfg.kappa_a, cfg.kappa_b, cfg.delta) == (0.3, 0.2, 0.0)
-    assert cfg.convention == "half"
+    assert cfg.params.config is Configuration.LAMBDA
+    assert (cfg.params.kappa_a, cfg.params.kappa_b, cfg.params.delta) == (0.3, 0.2, 0.0)
+    assert cfg.params.coupling_convention == "half"
     assert cfg.emit == "timeseries"
     assert cfg.output_format == "csv"
     assert cfg.output_path == Path("trajectory.csv")
     third = 1 / math.sqrt(3.0)
-    assert np.allclose(cfg.c0, [third, third, third], atol=1e-15)
+    assert np.allclose(cfg.params.c0, [third, third, third], atol=1e-15)
 
 
 def test_parse_matches_bundled_fig1a():
     cfg = parse_run_config(FIG1A_TEXT)
     bundled = load_figure("fig1a")
-    assert bundled.to_sim_params() == cfg.to_sim_params()
+    assert bundled.params == cfg.params
     assert (bundled.t_max, bundled.dt) == (cfg.t_max, cfg.dt)
 
 
 def test_parse_comments_and_whitespace():
     text = "# run\nconfig = xi  # ladder\nkappa_a=0.2\nkappa_b=0.3\n\ndelta=20\nt_max=100\ndt=0.01\n"
     cfg = parse_run_config(text)
-    assert cfg.config is Configuration.XI
-    assert cfg.delta == 20.0
+    assert cfg.params.config is Configuration.XI
+    assert cfg.params.delta == 20.0
 
 
 def test_parse_empty_document_lists_required_keys():
@@ -90,31 +92,32 @@ def test_parse_rejects_bad_documents(text, fragment):
 
 
 def test_parse_rejects_unnormalized_c0_naming_key():
-    with pytest.raises(ConfigError) as err:
-        parse_run_config(FIG1A_TEXT + "c0_re=1,1,0\n")
-    msg = str(err.value)
-    assert "c0_re" in msg and "renormalization" in msg
+    # |c0|^2 - 1 = 1e-10 is past the one 1e-12 tolerance and gets the same message.
+    for c0_re in ("1,1,0", f"{math.sqrt(1 + 1e-10)!r},0,0"):
+        with pytest.raises(ConfigError) as err:
+            parse_run_config(FIG1A_TEXT + f"c0_re={c0_re}\n")
+        msg = str(err.value)
+        assert "c0_re" in msg and "renormalization" in msg
 
 
 def test_parse_complex_initial_state():
     text = FIG1A_TEXT + "c0_re=0.5,0,0.5\nc0_im=0,0.70710678118654752,0\n"
     cfg = parse_run_config(text)
-    assert abs(cfg.c0[1] - 0.7071067811865475j) <= 1e-15
+    assert abs(cfg.params.c0[1] - 0.7071067811865475j) <= 1e-15
 
 
 def test_override_precedence():
     cfg = parse_run_config(FIG1A_TEXT, {"delta": "0.5", "output": "x.json", "format": "json"})
-    assert cfg.delta == 0.5
+    assert cfg.params.delta == 0.5
     assert cfg.output_format == "json"
     assert cfg.output_path == Path("x.json")
     with pytest.raises(ConfigError):
         parse_run_config(FIG1A_TEXT, {"nonsense": "1"})
 
 
-# Documents over the known keys: a valid fig1a document with up to two keys
+# Documents over the known keys: a valid document with up to two keys
 # dropped or given an arbitrary text, a float, a triple of floats or a word
 # the parser knows.
-_FIG1A_PAIRS = dict(line.split("=") for line in FIG1A_TEXT.split())
 _VALUES = st.one_of(
     st.none(),
     st.text(),
@@ -124,11 +127,18 @@ _VALUES = st.one_of(
     st.sampled_from(["lambda", "vee", "xi", "half", "full", "timeseries", "phase_portrait",
                      "sectors", "csv", "json", "0.6,0.8,0", "1e200,0,0", "1e-320"]),
 )
-_DOCUMENTS = st.dictionaries(st.sampled_from(_ALL_KEYS), _VALUES, max_size=2).map(
-    lambda drawn: "\n".join(
-        f"{key}={value}" for key, value in {**_FIG1A_PAIRS, **drawn}.items() if value is not None
+
+
+def documents(base: str) -> st.SearchStrategy[str]:
+    pairs = dict(line.split("=") for line in base.split())
+    return st.dictionaries(st.sampled_from(_ALL_KEYS), _VALUES, max_size=2).map(
+        lambda drawn: "\n".join(
+            f"{key}={value}" for key, value in {**pairs, **drawn}.items() if value is not None
+        )
     )
-)
+
+
+_DOCUMENTS = documents(FIG1A_TEXT)
 
 
 @seed(4)
@@ -145,6 +155,7 @@ def test_any_document_parses_or_raises_config_error(text):
 @pytest.mark.parametrize("name", FIGURE_NAMES)
 def test_render_roundtrip_bundled(name):
     cfg = load_figure(name)
+    assert sorted(run_config_dict(cfg)) == sorted(_ALL_KEYS)
     assert parse_run_config(render_run_config(cfg)) == cfg
 
 
@@ -362,9 +373,10 @@ def test_main_simulate_requires_exactly_one_source(tmp_path, capsys):
     assert main(["simulate"]) == 2
     assert main(["simulate", "--config", "x.cfg", "--figure", "fig1a"]) == 2
     assert main(["simulate", "--config", str(tmp_path / "absent.cfg")]) == 2
+    assert main(["simulate", "--config", "a\0b.cfg"]) == 2
     err = capsys.readouterr().err
     assert "exactly one" in err
-    assert "cannot read" in err
+    assert err.count("cannot read") == 2
 
 
 def test_main_simulate_config_not_utf8(tmp_path, capsys):
@@ -376,19 +388,69 @@ def test_main_simulate_config_not_utf8(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg_path]
 
 
-@pytest.mark.parametrize("output", [".", ""])
-def test_directory_output_refused_before_any_work(tmp_path, capsys, monkeypatch, output):
-    def no_run(p, times):
-        raise AssertionError("the trajectory ran for a directory output")
+def no_trajectory(p, times):
+    raise AssertionError("the trajectory ran for an output that cannot be written")
 
-    monkeypatch.setattr(cli, "bloch_trajectory", no_run)
+
+@pytest.mark.parametrize("output", [".", "", "missing/x.csv"])
+def test_directory_output_refused_before_any_work(tmp_path, capsys, monkeypatch, output):
+    monkeypatch.setattr(cli, "bloch_trajectory", no_trajectory)
     monkeypatch.chdir(tmp_path)
     assert main(["simulate", "--figure", "fig1a", "--output", output]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: cannot write .: Is a directory\n"
+    reason = "No such file or directory" if "/" in output else "Is a directory"
+    assert capsys.readouterr().err == f"error: cannot write {Path(output)}: {reason}\n"
     assert main(["simulate", "--figure", "fig1a", "--output", str(tmp_path)]) == 2
     assert "Is a directory" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_nul_byte_output_refused_at_parse(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "bloch_trajectory", no_trajectory)
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FIG1A_TEXT + "output=a\0b.csv\n")
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    err = "error: line 7: output is not a usable file name: 'a\\x00b.csv'\n"
+    assert capsys.readouterr().err == err
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+@pytest.mark.parametrize("length", [250, 300])
+def test_overlong_output_name_exits_2(tmp_path, capsys, length):
+    # 250 bytes is a valid name whose temp-file name is too long; 300 is too long itself.
+    out = tmp_path / ("a" * length)
+    assert main(["simulate", "--figure", "fig1a", "--set", "t_max=1", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and "File name too long" in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+SHORT_FIG1A_TEXT = FIG1A_TEXT.replace("t_max=100", "t_max=1")
+# --output names: any text without a separator; NUL, "." and ".." included.
+_OUTPUT_NAMES = st.text(st.characters(exclude_characters="/"), min_size=1, max_size=80)
+
+
+@seed(5)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(documents(SHORT_FIG1A_TEXT), _OUTPUT_NAMES)
+@example(SHORT_FIG1A_TEXT, "\0")
+@example(SHORT_FIG1A_TEXT, "a\0b.csv")
+@example(SHORT_FIG1A_TEXT, ".")
+@example(SHORT_FIG1A_TEXT, "..")
+@example(SHORT_FIG1A_TEXT, "\ud800")  # no file name encodes it
+def test_main_returns_only_exit_codes_0_2_3(tmp_path, text, name):
+    # Documents run 101 rows unless a drawn key changes that, and a small grid
+    # cap keeps every accepted run small; the real cap is pinned by
+    # test_oversized_grid_rejected_at_parse.
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+        mp.setattr(config, "MAX_GRID_ROWS", 2000)
+        cfg_path = Path(tmp) / "run.cfg"
+        cfg_path.write_text(text, encoding="utf-8")
+        code = main(["simulate", "--config", str(cfg_path), "--output", f"{tmp}/{name}"])
+        assert code in (0, 2, 3)
+        assert not [p for p in Path(tmp).iterdir() if p.name.endswith(".tmp")]
 
 
 def test_main_simulate_bad_override(capsys):
@@ -409,7 +471,7 @@ def reference_json(path, cfg, table):
     fields = CSV_HEADER.split(",")
     rows = [dict(zip(fields, map(float, row))) for row in table]
     with open(path, "w", newline="\n") as fh:
-        json.dump({"meta": cli._meta(cfg), "rows": rows}, fh, indent=1)
+        json.dump({"meta": run_config_dict(cfg), "rows": rows}, fh, indent=1)
         fh.write("\n")
 
 
@@ -424,7 +486,7 @@ def assert_writers_match_reference(tmp_path, cfg, table):
 
 
 def simulated_table(cfg):
-    return cli._records(bloch_trajectory(cfg.to_sim_params(), simulation_grid(cfg)))[0]
+    return cli._records(bloch_trajectory(cfg.params, simulation_grid(cfg)))[0]
 
 
 @pytest.mark.parametrize("name", FIGURE_NAMES)
@@ -441,6 +503,41 @@ def test_writers_byte_identical_across_blocks(tmp_path, monkeypatch):
     table = simulated_table(cfg)
     assert table.shape[0] == 2 * cli.BLOCK_ROWS + 1
     assert_writers_match_reference(tmp_path, cfg, table)
+
+
+FIG1A_JSON_HEAD = """\
+{
+ "meta": {
+  "config": "lambda",
+  "kappa_a": 0.3,
+  "kappa_b": 0.2,
+  "delta": 0.0,
+  "c0_re": [
+   0.5773502691896258,
+   0.5773502691896258,
+   0.5773502691896258
+  ],
+  "c0_im": [
+   0.0,
+   0.0,
+   0.0
+  ],
+  "convention": "half",
+  "t_max": 0.01,
+  "dt": 0.01,
+  "emit": "timeseries",
+  "format": "json",
+  "output": "head.json"
+ },
+ "rows": [
+"""
+
+
+def test_json_meta_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = ["simulate", "--figure", "fig1a", "--set", "t_max=0.01", "--format", "json"]
+    assert main(args + ["--output", "head.json"]) == 0
+    assert (tmp_path / "head.json").read_text().startswith(FIG1A_JSON_HEAD + "  {\n")
 
 
 def test_writers_byte_identical_on_awkward_values(tmp_path):
