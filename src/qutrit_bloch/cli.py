@@ -4,15 +4,25 @@ Exit codes: 0 success, 1 verification failure, 2 I/O or configuration error,
 3 runtime invariant breach during a simulation (a non-finite table entry, or a
 Bloch-norm drift past ``RUNTIME_NORM_TOL``); no output file is written then.
 Output goes to a temporary file in the target's directory that is renamed
-onto the target, so exits 2 and 3 leave an existing file as it was.
+onto the target, so exits 2 and 3 leave an existing file as it was. That
+atomicity covers regular files only: POSIX ``rename(2)`` replaces a directory
+entry, so a symlink is followed and its target replaced, and another existing
+non-regular target (a FIFO, a device) is opened and written in place.
+
+A table of more than ``BLOCK_ROWS`` rows is cut into an even number of
+near-equal blocks; this process formats the even blocks and one forked helper
+the odd ones, which it sends back through a pipe, so the file holds the same
+bytes as from one process. There is no option for this.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -33,7 +43,8 @@ CSV_HEADER = (
 #: Norm-conservation breach that aborts a run with exit code 3.
 RUNTIME_NORM_TOL = 1e-6
 
-#: Rows the writers format with one ``%`` at a time; bounds their memory.
+#: Most rows the writers format with one ``%`` at a time; bounds their memory.
+#: A table of at most this many rows is formatted without the helper process.
 BLOCK_ROWS = 4096
 
 _FIELDS = CSV_HEADER.split(",")
@@ -56,13 +67,80 @@ def _records(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     return table, norm2
 
 
+def _format_block(block: np.ndarray, row: str, sep: str) -> str:
+    return sep.join([row] * len(block)) % tuple(block.ravel().tolist())
+
+
+def _receive_block(pipe) -> str:
+    """Read one block the helper sent: an 8-byte length, then the text."""
+    head = pipe.read(8)
+    if len(head) == 8:
+        size = int.from_bytes(head, "big")
+        data = pipe.read(size)
+        if len(data) == size:
+            return data.decode()
+    raise OSError(errno.EIO, "the formatting helper stopped early")
+
+
+@contextlib.contextmanager
+def _format_helper(blocks: list[np.ndarray], row: str, sep: str):
+    """Fork one process that formats ``blocks`` in order into a pipe.
+
+    Yields a function that returns the next block's text, or None when the
+    fork fails and the caller must format every block itself. A short read,
+    or a helper that exits with a failing status, raises ``OSError``.
+    """
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        pid = None
+    if pid is None:
+        yield None
+        return
+    if pid == 0:
+        # The helper only formats and writes; it never returns into the caller.
+        code = 1
+        try:
+            os.close(rfd)
+            with open(wfd, "wb") as pipe:
+                for block in blocks:
+                    data = _format_block(block, row, sep).encode()
+                    pipe.write(len(data).to_bytes(8, "big"))
+                    pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(wfd)
+    pipe = open(rfd, "rb")
+    try:
+        yield lambda: _receive_block(pipe)
+    finally:
+        # Close before the wait: a helper blocked on a full pipe gets EPIPE.
+        pipe.close()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code:
+        raise OSError(errno.EIO, f"the formatting helper exited with status {code}")
+
+
 def _write_rows(fh, table: np.ndarray, row: str, sep: str) -> None:
-    """Write ``row % values`` for every table row, joined by ``sep``."""
-    for start in range(0, len(table), BLOCK_ROWS):
-        block = table[start:start + BLOCK_ROWS]
-        if start:
-            fh.write(sep)
-        fh.write(sep.join([row] * len(block)) % tuple(block.ravel().tolist()))
+    """Write ``row % values`` for every table row, joined by ``sep``.
+
+    A table above ``BLOCK_ROWS`` rows is written as an even number of blocks;
+    a forked helper formats the odd ones while this process formats the even
+    ones, and every block is written in order.
+    """
+    n = len(table)
+    count = 1 if n <= BLOCK_ROWS else 2 * -(-n // (2 * BLOCK_ROWS))
+    blocks = [table[n * i // count:n * (i + 1) // count] for i in range(count)]
+    helper = _format_helper(blocks[1::2], row, sep) if count > 1 else contextlib.nullcontext()
+    with helper as receive:
+        for i, block in enumerate(blocks):
+            if i:
+                fh.write(sep)
+            fh.write(receive() if receive and i % 2 else _format_block(block, row, sep))
 
 
 def _write_csv(path: Path, table: np.ndarray) -> None:
@@ -82,13 +160,37 @@ def _write_json(path: Path, cfg: RunConfig, table: np.ndarray) -> None:
         fh.write(tail + "\n")
 
 
+def _output_paths(out: Path) -> tuple[Path, Path]:
+    """The resolved target of ``out`` and the path to write before renaming onto it.
+
+    The second path is the target itself for an existing target that is not a
+    regular file. Raises ``OSError`` for an output that cannot be written.
+    """
+    target = Path(os.path.realpath(out))
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = stat.S_IFREG  # an absent target is created like a regular file
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    if not os.path.isdir(target.parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
+    if not stat.S_ISREG(mode):
+        return target, target
+    tmp = Path(f"{target}.{os.getpid()}.tmp")
+    if len(os.fsencode(tmp.name)) > os.pathconf(target.parent, "PC_NAME_MAX"):
+        raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG))
+    return target, tmp
+
+
 def run_simulate(cfg: RunConfig) -> int:
     """Run one trajectory and write it out; see module docstring for codes."""
     # Refuse an output that cannot be opened before any work is done.
     out = cfg.output_path
-    if os.path.isdir(out) or not os.path.isdir(out.parent):
-        reason = "Is a directory" if os.path.isdir(out) else "No such file or directory"
-        print(f"error: cannot write {out}: {reason}", file=sys.stderr)
+    try:
+        target, path = _output_paths(out)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     times = simulation_grid(cfg)
     # A huge but finite input overflows to inf/nan here; the check below
@@ -108,22 +210,23 @@ def run_simulate(cfg: RunConfig) -> int:
             file=sys.stderr,
         )
         return 3
-    # Write beside the target and rename over it, so a failed write never
-    # leaves a partial file at the output path.
-    tmp = Path(f"{out}.{os.getpid()}.tmp")
+    # A regular target is written beside and renamed over, so a failed write
+    # never leaves a partial file at the output path.
     try:
         if cfg.output_format == "csv":
-            _write_csv(tmp, table)
+            _write_csv(path, table)
         else:
-            _write_json(tmp, cfg, table)
-        os.replace(tmp, out)
+            _write_json(path, cfg, table)
+        if path != target:
+            os.replace(path, target)
     except OSError as exc:
         print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     finally:
         # No temp file is left after the rename, or when the OS refused its name.
-        with contextlib.suppress(OSError):
-            tmp.unlink()
+        if path != target:
+            with contextlib.suppress(OSError):
+                path.unlink()
     print(f"wrote {table.shape[0]} records to {out}")
     return 0
 
@@ -215,8 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+def _run(args: argparse.Namespace) -> int:
     if args.command == "simulate":
         try:
             cfg = _load_simulate_config(args)
@@ -227,6 +329,19 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         return run_verify(args.scope)
     return run_cardinal(args.label)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+    # Output files report their own write errors; what is left is stdout.
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write to standard output: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,12 @@
 import dataclasses
 import json
 import math
+import os
+import stat
+import subprocess
+import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -416,14 +421,76 @@ def test_nul_byte_output_refused_at_parse(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("length", [250, 300])
-def test_overlong_output_name_exits_2(tmp_path, capsys, length):
+def test_overlong_output_name_exits_2(tmp_path, capsys, monkeypatch, length):
     # 250 bytes is a valid name whose temp-file name is too long; 300 is too long itself.
+    monkeypatch.setattr(cli, "bloch_trajectory", no_trajectory)
     out = tmp_path / ("a" * length)
     assert main(["simulate", "--figure", "fig1a", "--set", "t_max=1", "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write") and "File name too long" in err
     assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_symlink_output_writes_through_to_target(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"earlier run\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target.name)
+    args = ["simulate", "--figure", "fig1a", "--set", "t_max=1"]
+    assert main(args + ["--output", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert main(args + ["--output", str(tmp_path / "plain.csv")]) == 0
+    assert target.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "plain.csv", "target.csv"]
+
+
+def test_fifo_output_written_in_place(tmp_path):
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    args = ["simulate", "--figure", "fig1a", "--set", "t_max=1"]
+    try:
+        assert main(args + ["--output", str(fifo)]) == 0
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert main(args + ["--output", str(tmp_path / "plain.csv")]) == 0
+    assert received == [(tmp_path / "plain.csv").read_bytes()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe.csv", "plain.csv"]
+
+
+class FailingStdout:
+    """A stdout whose device is full: on every write, or only on flush."""
+
+    def __init__(self, on_write: bool):
+        self.on_write = on_write
+
+    def write(self, text):
+        if self.on_write:
+            raise OSError(28, "No space left on device")
+        return len(text)
+
+    def flush(self):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("on_write", [True, False], ids=["write", "flush"])
+@pytest.mark.parametrize("command", ["verify", "cardinal", "simulate"])
+def test_failing_stdout_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command, on_write):
+    argv = {
+        "verify": ["verify", "algebra"],
+        "cardinal": ["cardinal", "one"],
+        "simulate": ["simulate", "--figure", "fig1a", "--set", "t_max=1",
+                     "--output", str(tmp_path / "out.csv")],
+    }[command]
+    monkeypatch.setattr(sys, "stdout", FailingStdout(on_write))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot write to standard output: No space left on device\n"
 
 
 SHORT_FIG1A_TEXT = FIG1A_TEXT.replace("t_max=100", "t_max=1")
@@ -495,14 +562,96 @@ def test_writers_byte_identical_on_bundled_figures(tmp_path, name):
     assert_writers_match_reference(tmp_path, cfg, simulated_table(cfg))
 
 
-def test_writers_byte_identical_across_blocks(tmp_path, monkeypatch):
-    # Two full blocks and a one-row partial block. The block is shrunk so the
-    # reference writers stay fast; the block loop does not depend on its size.
+def count_forks(monkeypatch) -> list:
+    forks = []
+    real = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("rows", [1, 64, 65, 128, 129, 192, 320, 321])
+def test_writers_byte_identical_across_blocks(tmp_path, monkeypatch, rows):
+    # One row, and 1, 2, 3 and 5 blocks' worth of rows with and without one
+    # more. The block is shrunk so the reference writers stay fast; the block
+    # loop does not depend on its size. Above one block the table is split in
+    # an even number of blocks, and each writer forks one helper for the odd ones.
     monkeypatch.setattr(cli, "BLOCK_ROWS", 64)
-    cfg = parse_run_config(FIG1A_TEXT, {"t_max": str(2 * cli.BLOCK_ROWS), "dt": "1"})
-    table = simulated_table(cfg)
-    assert table.shape[0] == 2 * cli.BLOCK_ROWS + 1
+    forks = count_forks(monkeypatch)
+    cfg = parse_run_config(FIG1A_TEXT, {"t_max": "320", "dt": "1"})
+    table = simulated_table(cfg)[:rows]
+    assert table.shape[0] == rows
     assert_writers_match_reference(tmp_path, cfg, table)
+    assert len(forks) == (0 if rows <= cli.BLOCK_ROWS else 2)
+    assert_no_child_left()
+
+
+def test_writers_byte_identical_when_fork_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 64)
+
+    def no_fork():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = parse_run_config(FIG1A_TEXT, {"t_max": str(5 * cli.BLOCK_ROWS), "dt": "1"})
+    assert_writers_match_reference(tmp_path, cfg, simulated_table(cfg))
+
+
+@pytest.mark.parametrize("failure", ["helper_raises", "helper_status", "parent_fails"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failed_helper_keeps_existing_output(tmp_path, capsys, monkeypatch, fmt, failure):
+    out = tmp_path / f"out.{fmt}"
+    out.write_bytes(b"earlier run\n")
+    parent = os.getpid()
+    real = cli._format_block
+
+    def fails_in(pid_matches, exc):
+        def format_block(block, row, sep):
+            if (os.getpid() == parent) == pid_matches:
+                raise exc
+            return real(block, row, sep)
+        return format_block
+
+    if failure == "helper_raises":
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 64)
+        monkeypatch.setattr(cli, "_format_block", fails_in(False, RuntimeError("helper died")))
+        reason = "the formatting helper stopped early"
+        t_max = 1
+    elif failure == "helper_status":
+        # The helper sends every block, then exits with a failing status.
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 64)
+        real_exit = os._exit
+        monkeypatch.setattr(os, "_exit", lambda code: real_exit(3))
+        reason = "the formatting helper exited with status 3"
+        t_max = 1
+    else:
+        # 10001 rows in 4 blocks: the helper's first block overfills the pipe,
+        # so it is blocked writing when this process fails; the failure path
+        # must close the pipe before it waits, or it would wait forever.
+        monkeypatch.setattr(cli, "_format_block",
+                            fails_in(True, OSError(28, "No space left on device")))
+        reason = "No space left on device"
+        t_max = 100
+    assert run_simulate(short_cfg(tmp_path, output=out, format=fmt, t_max=t_max)) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_bytes() == b"earlier run\n"
+    assert_no_child_left()
+
+
+def test_cli_import_starts_no_pool_machinery():
+    # A process pool's modules would add start-up time to every CLI run.
+    code = (
+        "import sys, qutrit_bloch.cli; "
+        "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=60, check=True)
+    assert result.stdout == "False False\n"
 
 
 FIG1A_JSON_HEAD = """\
