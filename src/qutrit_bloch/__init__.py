@@ -20,6 +20,7 @@ from .dynamics import (
     propagate_exact,
     rabi_frequency,
     resonance_split_check,
+    rk4_error_estimate,
     rotating_hamiltonian,
     sector_index_sets,
     sector_initial_norms,
@@ -89,6 +90,7 @@ __all__ = [
     "rabi_frequency",
     "render_run_config",
     "resonance_split_check",
+    "rk4_error_estimate",
     "rotating_hamiltonian",
     "sector_index_sets",
     "sector_initial_norms",

@@ -106,21 +106,21 @@ def _raw_pairs(text: str) -> dict[str, tuple[str, int]]:
     return pairs
 
 
-def _parse_float(key: str, value: str, lineno: int) -> float:
+def _parse_float(key: str, value: str, where: str) -> float:
     try:
         out = float(value)
     except ValueError:
-        raise ConfigError(f"line {lineno}: {key} is not a number: {value!r}") from None
+        raise ConfigError(f"{where}: {key} is not a number: {value!r}") from None
     if not math.isfinite(out):
-        raise ConfigError(f"line {lineno}: {key} must be finite, got {value!r}")
+        raise ConfigError(f"{where}: {key} must be finite, got {value!r}")
     return out
 
 
-def _parse_triple(key: str, value: str, lineno: int) -> tuple[float, float, float]:
+def _parse_triple(key: str, value: str, where: str) -> tuple[float, float, float]:
     parts = [p.strip() for p in value.split(",")]
     if len(parts) != 3:
-        raise ConfigError(f"line {lineno}: {key} needs 3 comma-separated values")
-    return tuple(_parse_float(key, p, lineno) for p in parts)  # type: ignore[return-value]
+        raise ConfigError(f"{where}: {key} needs 3 comma-separated values")
+    return tuple(_parse_float(key, p, where) for p in parts)  # type: ignore[return-value]
 
 
 def _usable_path(text: str) -> bool:
@@ -161,8 +161,7 @@ def parse_run_config(text: str, overrides: dict[str, str] | None = None) -> RunC
 
     numbers = {}
     for key in ("kappa_a", "kappa_b", "delta", "t_max", "dt"):
-        value, lineno = pairs[key]
-        numbers[key] = _parse_float(key, value, lineno)
+        numbers[key] = _parse_float(key, pairs[key][0], where(key))
     for key in ("kappa_a", "kappa_b"):
         if numbers[key] < 0.0:
             raise ConfigError(f"{where(key)}: {key} must be nonnegative")
@@ -176,10 +175,10 @@ def parse_run_config(text: str, overrides: dict[str, str] | None = None) -> RunC
 
     c0_re = _EQUAL_RE
     if "c0_re" in pairs:
-        c0_re = _parse_triple("c0_re", *pairs["c0_re"])
+        c0_re = _parse_triple("c0_re", pairs["c0_re"][0], where("c0_re"))
     c0_im = (0.0, 0.0, 0.0)
     if "c0_im" in pairs:
-        c0_im = _parse_triple("c0_im", *pairs["c0_im"])
+        c0_im = _parse_triple("c0_im", pairs["c0_im"][0], where("c0_im"))
     c0 = tuple(complex(re, im) for re, im in zip(c0_re, c0_im))
     # Products, not abs() or **: a huge entry gives inf here, not OverflowError.
     norm_sq = sum(x.real * x.real + x.imag * x.imag for x in c0)

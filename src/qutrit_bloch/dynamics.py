@@ -44,6 +44,7 @@ __all__ = [
     "propagate_exact",
     "rabi_frequency",
     "resonance_split_check",
+    "rk4_error_estimate",
     "rotating_hamiltonian",
     "sector_index_sets",
     "sector_initial_norms",
@@ -357,6 +358,19 @@ def integrate_bloch_ode(p: SimParams, times: np.ndarray, dt: float) -> Trajector
     )
 
 
+def rk4_error_estimate(p: SimParams, dt: float, t_max: float) -> tuple[float, float]:
+    """RK4 step angle rho(M) dt and predicted accumulated error up to ``t_max``.
+
+    The eigenvalues of the adjoint generator M are +-i (E_i - E_j) and zeros,
+    with E the eigenvalues of the rotating Hamiltonian, so the spectral
+    radius rho(M) is E_max - E_min. The error is the per-step defect
+    (rho(M) dt)^5 / 120 times the step count (docs/derivation_notes.md, §9).
+    """
+    energies = np.linalg.eigvalsh(rotating_hamiltonian(p))
+    theta = float(energies[-1] - energies[0]) * dt
+    return theta, (t_max / dt) * theta**5 / 120.0
+
+
 def sector_initial_norms(p: SimParams) -> tuple[float, float]:
     """Closed-form initial sector norms as polynomials in the amplitudes.
 
@@ -366,11 +380,21 @@ def sector_initial_norms(p: SimParams) -> tuple[float, float]:
     :class:`ConsistencyError` if the evaluated polynomials pick up an
     imaginary residue above 1e-10.
     """
-    c1, c2, c3 = p.c0
+    s4, s2 = _sector_polynomials(p.config, p.c0_array[None])
+    return float(s4[0]), float(s2[0])
+
+
+def _sector_polynomials(config: Configuration, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sector_initial_norms` of each row of ``c`` (N, 3): two real (N,) arrays.
+
+    A row gives the same bits alone or in a stack, so one amplitude triple
+    is evaluated as a stack of one.
+    """
+    c1, c2, c3 = c[:, 0], c[:, 1], c[:, 2]
     b1, b2, b3 = np.conj(c1), np.conj(c2), np.conj(c3)
     q1, q2, q3 = c1 * b1, c2 * b2, c3 * b3  # populations
 
-    if p.config is Configuration.LAMBDA:
+    if config is Configuration.LAMBDA:
         s4 = (
             -3.0 * b1**2 * (c2**2 + c3**2)
             + b2**2 * (4.0 * c2**2 + 3.0 * c3**2)
@@ -385,7 +409,7 @@ def sector_initial_norms(p: SimParams) -> tuple[float, float]:
             + 2.0 * q1 * (q2 + q3)
             + c1**2 * (b2**2 + b3**2)
         )
-    elif p.config is Configuration.VEE:
+    elif config is Configuration.VEE:
         s4 = (
             4.0 * c2**2 * b2**2
             - 3.0 * b2**2 * c3**2
@@ -420,10 +444,10 @@ def sector_initial_norms(p: SimParams) -> tuple[float, float]:
             + c1**2 * (b2**2 - b3**2)
         )
 
-    residue = max(abs(np.imag(s4)), abs(np.imag(s2)))
+    residue = max(np.abs(s4.imag).max(), np.abs(s2.imag).max())
     if residue > SECTOR_IMAG_TOL:
         raise ConsistencyError(f"sector norms not real (residue {residue:.3e})")
-    return float(np.real(s4)), float(np.real(s2))
+    return s4.real, s2.real
 
 
 @dataclass(frozen=True)

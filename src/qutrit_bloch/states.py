@@ -252,16 +252,19 @@ def bloch_geometric(a: AngleParams) -> np.ndarray:
 def density_from_bloch(n: np.ndarray) -> np.ndarray:
     """Reconstruct rho = (1/3) [lambda_0 + (3/2) sum_k n_k lambda_k].
 
-    The 3/2 weight makes this the exact inverse of :func:`bloch_from_density`.
-    Raises :class:`BlochRegionError` if the reconstructed matrix has an
-    eigenvalue below -1e-10, i.e. the vector lies outside the physical region
-    (which is a proper subset of the 4/3-ball for a qutrit).
+    Accepts shape (8,) or (..., 8) and returns (3, 3) or (..., 3, 3); a
+    vector gives the same bits alone or in a stack. The 3/2 weight makes
+    this the exact inverse of :func:`bloch_from_density`. Raises
+    :class:`BlochRegionError` if a reconstructed matrix has an eigenvalue
+    below -1e-10, i.e. the vector lies outside the physical region (which is
+    a proper subset of the 4/3-ball for a qutrit).
     """
     n = np.asarray(n, dtype=float)
-    if n.shape != (8,):
+    if n.shape[-1:] != (8,):
         raise ValueError(f"Bloch vector must have shape (8,), got {n.shape}")
     lam = gellmann_basis()
-    rho = lam[0] + 1.5 * sum(n[k] * lam[k + 1] for k in range(8))
+    w = n[..., None, None]  # each component broadcast over a 3x3 matrix
+    rho = lam[0] + 1.5 * sum(w[..., k, :, :] * lam[k + 1] for k in range(8))
     rho = rho / 3.0
     low = np.linalg.eigvalsh(rho).min()
     if low < -PSD_TOL:
@@ -271,7 +274,12 @@ def density_from_bloch(n: np.ndarray) -> np.ndarray:
     return rho
 
 
-def purity(rho: np.ndarray) -> float:
-    """Return Tr[rho^2], which equals (1/3) (1 + (3/2) |n|^2)."""
+def purity(rho: np.ndarray) -> float | np.ndarray:
+    """Return Tr[rho^2], which equals (1/3) (1 + (3/2) |n|^2).
+
+    A float for one (3, 3) matrix, an array for a stack (..., 3, 3); a
+    matrix gives the same bits alone or in a stack.
+    """
     rho = np.asarray(rho, dtype=complex)
-    return float(np.einsum("ij,ji->", rho, rho).real)
+    out = np.einsum("...ij,...ji->...", rho, rho).real
+    return float(out) if out.ndim == 0 else out

@@ -18,6 +18,7 @@ import json
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -107,10 +108,14 @@ def test_criterion_10_algebra_suite(suites):
 
 @pytest.fixture(scope="module")
 def cli_runs(tmp_path_factory):
-    """Run the CLI once per bundled figure; reused by the criterion-11 tests."""
+    """Run the CLI once per bundled figure; reused by the criterion-11 tests.
+
+    Two runs at a time, one per core; each is its own subprocess, timed on
+    its own.
+    """
     out_dir = tmp_path_factory.mktemp("cli_runs")
-    runs = {}
-    for name in figures.FIGURE_NAMES:
+
+    def run(name):
         out = out_dir / f"{name}.csv"
         start = time.perf_counter()
         proc = subprocess.run(
@@ -118,8 +123,10 @@ def cli_runs(tmp_path_factory):
              "--figure", name, "--output", str(out)],
             capture_output=True, text=True, timeout=60,
         )
-        runs[name] = (proc, time.perf_counter() - start, out)
-    return runs
+        return proc, time.perf_counter() - start, out
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return dict(zip(figures.FIGURE_NAMES, pool.map(run, figures.FIGURE_NAMES)))
 
 
 def test_criterion_11_cli_reproduction(cli_runs):

@@ -96,6 +96,32 @@ def test_parse_rejects_bad_documents(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("kappa_a", "abc", "kappa_a is not a number: 'abc'"),
+    ("delta", "inf", "delta must be finite, got 'inf'"),
+    ("t_max", "nan", "t_max must be finite, got 'nan'"),
+    ("c0_re", "1,2", "c0_re needs 3 comma-separated values"),
+    ("c0_im", "0,x,0", "c0_im is not a number: 'x'"),
+    ("c0_re", "1,0,-inf", "c0_re must be finite, got '-inf'"),
+])
+def test_bad_number_names_line_or_override(key, value, message, capsys):
+    lines = FIG1A_TEXT.splitlines()
+    keys = [line.split("=")[0] for line in lines]
+    if key in keys:
+        lines[keys.index(key)] = f"{key}={value}"
+    else:
+        lines.append(f"{key}={value}")
+    lineno = lines.index(f"{key}={value}") + 1
+    with pytest.raises(ConfigError) as err:
+        parse_run_config("\n".join(lines) + "\n")
+    assert str(err.value) == f"line {lineno}: {message}"
+    with pytest.raises(ConfigError) as err:
+        parse_run_config(FIG1A_TEXT, {key: value})
+    assert str(err.value) == f"override: {message}"
+    assert main(["simulate", "--figure", "fig1a", "--set", f"{key}={value}"]) == 2
+    assert capsys.readouterr().err == f"error: override: {message}\n"
+
+
 def test_parse_rejects_unnormalized_c0_naming_key():
     # |c0|^2 - 1 = 1e-10 is past the one 1e-12 tolerance and gets the same message.
     for c0_re in ("1,1,0", f"{math.sqrt(1 + 1e-10)!r},0,0"):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qutrit_bloch import figures
+from qutrit_bloch import checks, dynamics, figures
 from qutrit_bloch.checks import lambda_generator_reference
 from qutrit_bloch.dynamics import (
     Configuration,
@@ -15,12 +15,13 @@ from qutrit_bloch.dynamics import (
     propagate_exact,
     rabi_frequency,
     resonance_split_check,
+    rk4_error_estimate,
     rotating_hamiltonian,
     sector_index_sets,
     sector_initial_norms,
 )
 from qutrit_bloch.states import BLOCH_NORM_SQ, bloch_from_amplitudes, density_from_state
-from qutrit_bloch.su3 import gellmann_basis
+from qutrit_bloch.su3 import ConsistencyError, gellmann_basis
 
 SQ3 = math.sqrt(3.0)
 EQUAL = (1 / SQ3, 1 / SQ3, 1 / SQ3)
@@ -318,6 +319,52 @@ def test_sector_initial_norms_match_direct_sums(config):
         assert abs(s4 - sum(n0[i - 1] ** 2 for i in set4)) <= 1e-12
         assert abs(s2 - sum(n0[i - 1] ** 2 for i in set2)) <= 1e-12
         assert abs(s4 + s2 - BLOCH_NORM_SQ) <= 1e-12
+
+
+def reference_sector_sum():
+    """The per-state loop of verify's sector-sum check: (s4, s2) per draw and config."""
+    rng = np.random.default_rng(checks.SECTOR_SEED)
+    out = []
+    for _ in range(checks.SECTOR_SAMPLES):
+        c = rng.normal(size=3) + 1j * rng.normal(size=3)
+        c /= np.linalg.norm(c)
+        out.append([sector_initial_norms(SimParams(config, 0.3, 0.2, 0.0, tuple(c)))
+                    for config in Configuration])
+    return np.array(out)  # (samples, configs, 2)
+
+
+def test_sector_sum_check_matches_per_state_reference():
+    expected = reference_sector_sum()
+    rng = np.random.default_rng(checks.SECTOR_SEED)
+    amps = checks._unit_amplitudes(rng.normal(size=(checks.SECTOR_SAMPLES, 2, 3)))
+    for j, config in enumerate(Configuration):
+        s4, s2 = dynamics._sector_polynomials(config, amps)
+        assert np.array_equal(s4, expected[:, j, 0])
+        assert np.array_equal(s2, expected[:, j, 1])
+    worst = float(np.abs(expected.sum(axis=2) - BLOCH_NORM_SQ).max())
+    result = {r.name: r for r in checks.dynamics_suite().results}["dynamics/sector-sum-4/3"]
+    assert result.residual == worst
+
+
+def test_sector_initial_norms_scalar_shape_and_consistency_error(monkeypatch):
+    p = params(FIG_VEE, c0=(0.6, 0.48j, 0.64))
+    s4, s2 = sector_initial_norms(p)
+    assert type(s4) is float and type(s2) is float
+    batch4, batch2 = dynamics._sector_polynomials(p.config, np.array([p.c0_array] * 3))
+    assert batch4.shape == batch2.shape == (3,)
+    assert np.all(batch4 == s4) and np.all(batch2 == s2)
+    monkeypatch.setattr(dynamics, "SECTOR_IMAG_TOL", -1.0)
+    with pytest.raises(ConsistencyError, match="sector norms not real"):
+        sector_initial_norms(p)
+
+
+@pytest.mark.parametrize("label", sorted(figures.parameter_sets()))
+def test_rk4_error_estimate_matches_generator_spectrum(label):
+    p = figures.parameter_sets()[label]
+    radius = float(np.abs(np.linalg.eigvals(adjoint_generator(p))).max())
+    theta, estimate = rk4_error_estimate(p, checks.DT, checks.T_MAX)
+    assert abs(theta / checks.DT - radius) <= 1e-12 * radius
+    assert estimate == (checks.T_MAX / checks.DT) * theta**5 / 120.0
 
 
 @pytest.mark.parametrize("base", [FIG_LAMBDA, FIG_VEE, FIG_XI])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from qutrit_bloch import checks
 from qutrit_bloch.states import (
     BLOCH_NORM_SQ,
     AngleParams,
@@ -20,7 +21,7 @@ from qutrit_bloch.states import (
     validate_density,
     validate_pure_state,
 )
-from qutrit_bloch.su3 import ConsistencyError
+from qutrit_bloch.su3 import ConsistencyError, gellmann_basis
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -219,6 +220,82 @@ def test_density_from_bloch_rejects_unphysical_vector():
     n = -np.array([0, 0, 1, 0, 0, 0, 0, 1 / SQ3])
     with pytest.raises(BlochRegionError):
         density_from_bloch(n)
+
+
+def reference_density_from_bloch(n):
+    """The per-vector reconstruction the stacked one must match bit for bit."""
+    lam = gellmann_basis()
+    rho = lam[0] + 1.5 * sum(n[k] * lam[k + 1] for k in range(8))
+    return rho / 3.0
+
+
+def reference_random_mixtures(count):
+    """The per-sample mixture loop the array version must match bit for bit."""
+    rng = np.random.default_rng(checks.MIXTURE_SEED)
+    out = [np.eye(3, dtype=complex) / 3.0]
+    for _ in range(count - 2):
+        parts = rng.integers(1, 5)
+        weights = rng.dirichlet(np.ones(parts))
+        rho = np.zeros((3, 3), dtype=complex)
+        for w in weights:
+            c = rng.normal(size=3) + 1j * rng.normal(size=3)
+            c /= np.linalg.norm(c)
+            rho += w * density_from_state(c)
+        out.append(rho)
+    c = rng.normal(size=3) + 1j * rng.normal(size=3)
+    out.append(density_from_state(c / np.linalg.norm(c)))
+    return np.array(out)
+
+
+def test_density_from_bloch_stack_matches_per_vector_reference():
+    n = bloch_geometric(checks.sample_angles(100))
+    rho = density_from_bloch(n)
+    assert rho.shape == (100, 3, 3)
+    expected = np.array([reference_density_from_bloch(v) for v in n])
+    assert np.array_equal(rho, expected)
+    assert np.array_equal(density_from_bloch(n[7]), expected[7])
+    assert np.array_equal(density_from_bloch(n.reshape(4, 25, 8)), expected.reshape(4, 25, 3, 3))
+
+
+def test_density_from_bloch_stack_with_one_unphysical_row_raises():
+    n = bloch_geometric(checks.sample_angles(5))
+    n[3] = -n[3]  # the antipode of a pure state has an eigenvalue -1/3
+    with pytest.raises(BlochRegionError):
+        density_from_bloch(n)
+    density_from_bloch(np.delete(n, 3, axis=0))
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (9,), (8, 3)])
+def test_density_from_bloch_rejects_wrong_shape(shape):
+    with pytest.raises(ValueError, match=r"must have shape \(8,\), got"):
+        density_from_bloch(np.zeros(shape))
+
+
+def test_random_mixtures_match_per_sample_reference():
+    rhos = checks.random_mixtures(checks.MIXTURE_SAMPLES)
+    assert rhos.shape == (checks.MIXTURE_SAMPLES, 3, 3)
+    assert np.array_equal(rhos, reference_random_mixtures(checks.MIXTURE_SAMPLES))
+
+
+def test_unit_amplitudes_match_linalg_norm():
+    normals = np.random.default_rng(3).normal(size=(5000, 2, 3))
+    expected = []
+    for re, im in normals:
+        c = re + 1j * im
+        expected.append(c / np.linalg.norm(c))
+    assert np.array_equal(checks._unit_amplitudes(normals), np.array(expected))
+
+
+def test_batched_purity_and_roundtrip_match_per_matrix_loops():
+    rhos = checks.random_mixtures(checks.MIXTURE_SAMPLES)
+    assert np.array_equal(purity(rhos), [purity(r) for r in rhos])
+    assert isinstance(purity(rhos[5]), float)
+    n = bloch_from_amplitudes(state_from_angles(checks.sample_angles(100)))
+    worst = 0.0
+    for v in n:
+        worst = max(worst, np.abs(bloch_from_density(density_from_bloch(v)) - v).max())
+    roundtrip = {r.name: r for r in checks.state_suite().results}["state/bloch-roundtrip"]
+    assert roundtrip.residual == worst
 
 
 def test_purity_examples():
