@@ -364,7 +364,8 @@ def rk4_error_estimate(p: SimParams, dt: float, t_max: float) -> tuple[float, fl
     The eigenvalues of the adjoint generator M are +-i (E_i - E_j) and zeros,
     with E the eigenvalues of the rotating Hamiltonian, so the spectral
     radius rho(M) is E_max - E_min. The error is the per-step defect
-    (rho(M) dt)^5 / 120 times the step count (docs/derivation_notes.md, §9).
+    (rho(M) dt)^5 / 120 times the step count (docs/derivation_notes.md,
+    section 9).
     """
     energies = np.linalg.eigvalsh(rotating_hamiltonian(p))
     theta = float(energies[-1] - energies[0]) * dt
