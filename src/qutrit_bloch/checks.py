@@ -84,10 +84,6 @@ class SuiteReport:
     results: list[CheckResult] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
     def extend(self, other: "SuiteReport") -> None:
         self.results.extend(other.results)
         self.notes.extend(other.notes)
@@ -334,8 +330,8 @@ def dynamics_suite() -> SuiteReport:
         norm = max(norm, np.abs((traj.bloch**2).sum(axis=1) - states.BLOCH_NORM_SQ).max())
         m = dynamics.adjoint_generator(p)
         antisym = max(antisym, np.abs(m + m.T).max())
-        s4_0, s2_0 = dynamics.sector_initial_norms(p)
-        sector = max(np.abs(traj.sector4 - s4_0).max(), np.abs(traj.sector2 - s2_0).max())
+        split = dynamics._split_report(p, traj)
+        sector = max(split.max_dev4, split.max_dev2)
         if p.delta == 0.0:
             sector_dev = max(sector_dev, sector)
         if label == "lambda@1.2":

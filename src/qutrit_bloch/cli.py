@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks, figures
+from . import checks, config, figures
 from .config import ConfigError, RunConfig, grid_rows, parse_run_config, run_config_dict
 from .dynamics import Trajectory, bloch_trajectory
 from .states import BLOCH_NORM_SQ, CARDINAL_LABELS, bloch_from_amplitudes, cardinal_state
@@ -161,22 +161,23 @@ def _write_json(path: Path, cfg: RunConfig, table: np.ndarray) -> None:
 
 
 def _output_paths(out: Path) -> tuple[Path, Path]:
-    """The resolved target of ``out`` and the path to write before renaming onto it.
+    """The target of ``out`` and the path to write before renaming onto it.
 
-    The second path is the target itself for an existing target that is not a
-    regular file. Raises ``OSError`` for an output that cannot be written.
+    An existing non-regular target is written in place through ``out`` as given
+    (``realpath`` turns ``/dev/fd/63`` into an unopenable ``pipe:[N]``).
+    Raises ``OSError`` for an output that cannot be written.
     """
-    target = Path(os.path.realpath(out))
     try:
-        mode = os.stat(target).st_mode
+        mode = os.stat(out).st_mode
     except FileNotFoundError:
         mode = stat.S_IFREG  # an absent target is created like a regular file
     if stat.S_ISDIR(mode):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    if not stat.S_ISREG(mode):
+        return out, out
+    target = Path(os.path.realpath(out))
     if not os.path.isdir(target.parent):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
-    if not stat.S_ISREG(mode):
-        return target, target
     tmp = Path(f"{target}.{os.getpid()}.tmp")
     if len(os.fsencode(tmp.name)) > os.pathconf(target.parent, "PC_NAME_MAX"):
         raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG))
@@ -305,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override a configuration key (repeatable)",
     )
     sim.add_argument("--output", help="override the output path")
-    sim.add_argument("--format", choices=("csv", "json"), help="override the output format")
+    sim.add_argument("--format", choices=config.OUTPUT_FORMATS, help="override the output format")
 
     ver = sub.add_parser("verify", help="run invariant suites")
     ver.add_argument(

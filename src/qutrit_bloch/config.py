@@ -19,7 +19,7 @@ comments. Recognized keys:
     output       output file path                           (default: trajectory.<format>)
 
 Unknown keys are rejected. The initial amplitudes must arrive normalized,
-|c0|^2 within ATOL_NUMERIC = 1e-12 of 1; they are never renormalized
+|c0|^2 within 1e-12 of 1 (``states.validate_pure_state``); they are never renormalized
 silently. An output path the OS cannot take (a NUL byte, an unencodable
 character) is refused here; a directory or a missing parent directory is
 refused by ``cli.run_simulate`` before any work.
@@ -32,8 +32,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dynamics import Configuration, SimParams
-from .su3 import ATOL_NUMERIC
+from .dynamics import _EQUAL_POPULATIONS, Configuration, SimParams
 
 __all__ = [
     "ConfigError",
@@ -54,8 +53,6 @@ OUTPUT_FORMATS = ("csv", "json")
 
 _REQUIRED_KEYS = ("config", "kappa_a", "kappa_b", "delta", "t_max", "dt")
 _ALL_KEYS = _REQUIRED_KEYS + ("c0_re", "c0_im", "convention", "emit", "format", "output")
-
-_EQUAL_RE = (1.0 / math.sqrt(3.0),) * 3
 
 
 class ConfigError(ValueError):
@@ -173,21 +170,12 @@ def parse_run_config(text: str, overrides: dict[str, str] | None = None) -> RunC
         raise ConfigError(f"{where('dt')}: dt must not exceed t_max")
     grid_rows(numbers["t_max"], numbers["dt"])
 
-    c0_re = _EQUAL_RE
+    c0_re = [x.real for x in _EQUAL_POPULATIONS]
     if "c0_re" in pairs:
         c0_re = _parse_triple("c0_re", pairs["c0_re"][0], where("c0_re"))
     c0_im = (0.0, 0.0, 0.0)
     if "c0_im" in pairs:
         c0_im = _parse_triple("c0_im", pairs["c0_im"][0], where("c0_im"))
-    c0 = tuple(complex(re, im) for re, im in zip(c0_re, c0_im))
-    # Products, not abs() or **: a huge entry gives inf here, not OverflowError.
-    norm_sq = sum(x.real * x.real + x.imag * x.imag for x in c0)
-    if abs(norm_sq - 1.0) > ATOL_NUMERIC:
-        key = "c0_re" if "c0_re" in pairs else "c0_im"
-        raise ConfigError(
-            f"c0_re/c0_im give |c0|^2 = {norm_sq!r}, not normalized"
-            f" (set {key} so the norm is 1; renormalization is refused)"
-        )
 
     convention = pairs.get("convention", ("half", 0))[0]
     if convention not in ("half", "full"):
@@ -202,13 +190,17 @@ def parse_run_config(text: str, overrides: dict[str, str] | None = None) -> RunC
     if not _usable_path(output):
         raise ConfigError(f"{where('output')}: output is not a usable file name: {output!r}")
 
-    try:  # strict invariant check, refuses renormalization
+    try:  # every other field is checked above: a ValueError is the |c0|^2 check
         params = SimParams(
             config=config, kappa_a=numbers["kappa_a"], kappa_b=numbers["kappa_b"],
-            delta=numbers["delta"], c0=c0, coupling_convention=convention,
+            delta=numbers["delta"], c0=tuple(map(complex, c0_re, c0_im)),
+            coupling_convention=convention,
         )
     except ValueError as exc:
-        raise ConfigError(f"c0_re/c0_im: {exc}") from None
+        key = "c0_re" if "c0_re" in pairs else "c0_im"
+        raise ConfigError(
+            f"c0_re/c0_im: {exc} (set {key} so the norm is 1; renormalization is refused)"
+        ) from None
     return RunConfig(
         params=params, t_max=numbers["t_max"], dt=numbers["dt"],
         emit=emit, output_format=output_format, output_path=Path(output),

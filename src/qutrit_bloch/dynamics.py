@@ -280,9 +280,18 @@ def _ascending(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("time grid must be a nonempty 1-D array")
+    if not np.isfinite(times).all():
+        raise ValueError("time grid must be finite")
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("time grid must be strictly ascending")
     return times
+
+
+def _trajectory(
+    p: SimParams, times: np.ndarray, amps: np.ndarray | None, bloch: np.ndarray, m: np.ndarray
+) -> Trajectory:
+    """The Trajectory of ``bloch`` on ``times``: adds dn/dt = M n and the sector norms."""
+    return Trajectory(times, amps, bloch, bloch @ m.T, *_sector_norms(bloch, p.config))
 
 
 def bloch_trajectory(p: SimParams, times: np.ndarray) -> Trajectory:
@@ -293,14 +302,7 @@ def bloch_trajectory(p: SimParams, times: np.ndarray) -> Trajectory:
     """
     times = _ascending(times)
     amps = propagate_exact(p, times)
-    bloch = bloch_from_amplitudes(amps)
-    m = adjoint_generator(p)
-    bloch_dot = bloch @ m.T
-    s4, s2 = _sector_norms(bloch, p.config)
-    return Trajectory(
-        times=times, amplitudes=amps, bloch=bloch, bloch_dot=bloch_dot,
-        sector4=s4, sector2=s2,
-    )
+    return _trajectory(p, times, amps, bloch_from_amplitudes(amps), adjoint_generator(p))
 
 
 def integrate_bloch_ode(p: SimParams, times: np.ndarray, dt: float) -> Trajectory:
@@ -350,12 +352,7 @@ def integrate_bloch_ode(p: SimParams, times: np.ndarray, dt: float) -> Trajector
             powers[count] = np.linalg.matrix_power(step, count)
         n = powers[count] @ n
         out[i + 1] = n
-    bloch_dot = out @ m.T
-    s4, s2 = _sector_norms(out, p.config)
-    return Trajectory(
-        times=times, amplitudes=None, bloch=out, bloch_dot=bloch_dot,
-        sector4=s4, sector2=s2,
-    )
+    return _trajectory(p, times, None, out, m)
 
 
 def rk4_error_estimate(p: SimParams, dt: float, t_max: float) -> tuple[float, float]:
@@ -473,8 +470,12 @@ def resonance_split_check(p: SimParams, times: np.ndarray) -> SplitReport:
     resonance signature; any finite detuning mixes the sectors and the flag
     drops to False.
     """
+    return _split_report(p, bloch_trajectory(p, times))
+
+
+def _split_report(p: SimParams, traj: Trajectory) -> SplitReport:
+    """Deviation of ``traj``'s sector norms from :func:`sector_initial_norms` of ``p``."""
     s4_0, s2_0 = sector_initial_norms(p)
-    traj = bloch_trajectory(p, times)
     dev4 = float(np.abs(traj.sector4 - s4_0).max())
     dev2 = float(np.abs(traj.sector2 - s2_0).max())
     return SplitReport(

@@ -127,13 +127,13 @@ def cardinal_state(label: str) -> tuple[AngleParams, np.ndarray]:
     return angles, state_from_angles(angles)
 
 
-def validate_pure_state(c: np.ndarray, atol: float = ATOL_NUMERIC) -> np.ndarray:
-    """Check normalization of an amplitude triple and return it as an array."""
+def validate_pure_state(c: np.ndarray) -> np.ndarray:
+    """Check that |c|^2 is within 1e-12 of 1 (NaN is not) and return c as an array."""
     c = np.asarray(c, dtype=complex)
     if c.shape != (3,):
         raise ValueError(f"amplitude triple must have shape (3,), got {c.shape}")
     norm_sq = float(np.vdot(c, c).real)
-    if abs(norm_sq - 1.0) > atol:
+    if not abs(norm_sq - 1.0) <= ATOL_NUMERIC:  # also refuses nan
         raise ValueError(f"state not normalized: |c|^2 = {norm_sq!r}")
     return c
 
@@ -165,14 +165,14 @@ def bloch_from_density(rho: np.ndarray) -> np.ndarray:
     """Map density matrices to Bloch vectors, n_k = Tr[lambda_k rho].
 
     Accepts shape (3, 3) or (N, 3, 3) and returns (8,) or (N, 8). The traces
-    must be real up to 1e-12; a larger imaginary residue indicates a
-    non-Hermitian input and raises :class:`ConsistencyError`.
+    must be real up to 1e-12; a larger or NaN imaginary residue (a
+    non-Hermitian or non-finite input) raises :class:`ConsistencyError`.
     """
     rho = np.asarray(rho, dtype=complex)
     lam = np.stack(gellmann_basis()[1:])
     traces = np.einsum("kij,...ji->...k", lam, rho)
     residue = np.abs(traces.imag).max()
-    if residue > ATOL_NUMERIC:
+    if not residue <= ATOL_NUMERIC:  # also refuses nan
         raise ConsistencyError(f"Bloch traces not real (residue {residue:.3e})")
     return traces.real.copy()
 

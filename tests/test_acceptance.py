@@ -133,6 +133,7 @@ def test_criterion_11_cli_reproduction(cli_runs):
     worst_norm, worst_sector, slowest = 0.0, 0.0, 0.0
     for name, (proc, elapsed, out) in cli_runs.items():
         assert proc.returncode == 0, f"{name}: {proc.stderr}"
+        assert proc.stderr == "", f"{name}: {proc.stderr}"  # no numpy warning either
         assert elapsed < 5.0, f"{name} took {elapsed:.2f}s"
         slowest = max(slowest, elapsed)
         table = np.loadtxt(out, delimiter=",", skiprows=1)

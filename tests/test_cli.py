@@ -123,12 +123,13 @@ def test_bad_number_names_line_or_override(key, value, message, capsys):
 
 
 def test_parse_rejects_unnormalized_c0_naming_key():
-    # |c0|^2 - 1 = 1e-10 is past the one 1e-12 tolerance and gets the same message.
-    for c0_re in ("1,1,0", f"{math.sqrt(1 + 1e-10)!r},0,0"):
+    # |c0|^2 - 1 = 1e-10 is past the one 1e-12 tolerance and gets the same message;
+    # an entry whose square overflows gives |c0|^2 = inf, without a numpy warning.
+    for c0_re in ("1,1,0", f"{math.sqrt(1 + 1e-10)!r},0,0", "1e200,0,0"):
         with pytest.raises(ConfigError) as err:
             parse_run_config(FIG1A_TEXT + f"c0_re={c0_re}\n")
         msg = str(err.value)
-        assert "c0_re" in msg and "renormalization" in msg
+        assert "c0_re" in msg and "renormalization is refused" in msg
 
 
 def test_parse_complex_initial_state():
@@ -487,6 +488,29 @@ def test_fifo_output_written_in_place(tmp_path):
     assert main(args + ["--output", str(tmp_path / "plain.csv")]) == 0
     assert received == [(tmp_path / "plain.csv").read_bytes()]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe.csv", "plain.csv"]
+
+
+def test_fd_path_output_written_into_the_pipe(tmp_path):
+    # What bash process substitution passes: `--output >(wc -c)` is /dev/fd/<n>.
+    rfd, wfd = os.pipe()
+    received = []
+
+    def drain():
+        with open(rfd, "rb") as pipe:
+            received.append(pipe.read())
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    args = ["simulate", "--figure", "fig1a", "--set", "t_max=0.02"]
+    try:
+        assert main(args + ["--output", f"/dev/fd/{wfd}"]) == 0
+    finally:
+        os.close(wfd)
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert main(args + ["--output", str(tmp_path / "plain.csv")]) == 0
+    assert received == [(tmp_path / "plain.csv").read_bytes()]
+    assert os.listdir(tmp_path) == ["plain.csv"]
 
 
 class FailingStdout:

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from qutrit_bloch import checks, dynamics, figures
 from qutrit_bloch.checks import lambda_generator_reference
@@ -20,7 +23,12 @@ from qutrit_bloch.dynamics import (
     sector_index_sets,
     sector_initial_norms,
 )
-from qutrit_bloch.states import BLOCH_NORM_SQ, bloch_from_amplitudes, density_from_state
+from qutrit_bloch.states import (
+    BLOCH_NORM_SQ,
+    bloch_from_amplitudes,
+    bloch_from_density,
+    density_from_state,
+)
 from qutrit_bloch.su3 import ConsistencyError, gellmann_basis
 
 SQ3 = math.sqrt(3.0)
@@ -49,6 +57,8 @@ def test_sim_params_validation():
         SimParams(Configuration.LAMBDA, -0.1, 0.2, 0.0)
     with pytest.raises(ValueError):
         params(FIG_LAMBDA, coupling_convention="double")
+    with pytest.raises(ValueError, match="not normalized"):
+        params(FIG_LAMBDA, c0=(math.nan, 0.0, 0.0))
 
 
 def test_rotating_hamiltonian_lambda_example():
@@ -404,3 +414,75 @@ def test_time_grid_validation():
         propagate_exact(p, np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
         propagate_exact(p, np.array([]))
+
+
+@pytest.mark.parametrize("run,times", [
+    (propagate_exact, [0.0, math.nan]),
+    (propagate_exact, [0.0, math.inf]),
+    (bloch_trajectory, [-math.inf, 0.0]),
+    (lambda p, t: integrate_bloch_ode(p, t, 0.1), [math.nan]),
+], ids=["propagate-nan", "propagate-inf", "trajectory-minus-inf", "rk4-nan"])
+def test_time_grid_refuses_non_finite(run, times):
+    with pytest.raises(ValueError, match="time grid must be finite"):
+        run(params(FIG_LAMBDA), np.array(times))
+
+
+@st.composite
+def sim_params(draw):
+    """Any topology and convention, kappa in [0, 5], delta in [-30, 30] or 0,
+    and a random normalized complex c0."""
+    parts = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 6)))
+    c0 = parts[:3] + 1j * parts[3:]
+    norm = np.linalg.norm(c0)
+    if norm < 0.1:
+        c0, norm = np.ones(3, dtype=complex), SQ3
+    return SimParams(
+        config=draw(st.sampled_from(list(Configuration))),
+        kappa_a=draw(st.floats(0.0, 5.0)),
+        kappa_b=draw(st.floats(0.0, 5.0)),
+        delta=draw(st.one_of(st.just(0.0), st.floats(-30.0, 30.0))),
+        c0=tuple(c0 / norm),
+        coupling_convention=draw(st.sampled_from(["half", "full"])),
+    )
+
+
+def unitary(p, t):
+    """U(t) column by column: the propagated basis states."""
+    columns = [propagate_exact(dataclasses.replace(p, c0=tuple(e)), [t])[0] for e in np.eye(3)]
+    return np.stack(columns, axis=1)
+
+
+@seed(8)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sim_params(), st.floats(0.0, 10.0), st.floats(0.0, 10.0))
+def test_invariants_across_parameter_space(p, t, s):
+    times = np.linspace(0.0, 5.0, 11)
+    traj = bloch_trajectory(p, times)
+    assert np.abs((np.abs(traj.amplitudes) ** 2).sum(axis=1) - 1.0).max() <= 1e-12
+    assert np.abs((traj.bloch**2).sum(axis=1) - BLOCH_NORM_SQ).max() <= 1e-12
+
+    m = adjoint_generator(p)
+    assert np.array_equal(m, -m.T)
+    # dn/dt = Tr[lambda (-i [H, rho])], independent of the f table.
+    h = rotating_hamiltonian(p)
+    rho = density_from_state(traj.amplitudes)
+    oracle = bloch_from_density(-1j * (h @ rho - rho @ h))
+    assert np.abs(traj.bloch_dot - oracle).max() <= 1e-12 * (1.0 + np.abs(h).max())
+
+    assert np.abs(unitary(p, t + s) - unitary(p, t) @ unitary(p, s)).max() <= 1e-12
+
+    if p.delta == 0.0:
+        s4_0, s2_0 = sector_initial_norms(p)
+        assert abs(s4_0 + s2_0 - BLOCH_NORM_SQ) <= 1e-12
+        assert np.abs(traj.sector4 - s4_0).max() <= 1e-9
+        assert np.abs(traj.sector2 - s2_0).max() <= 1e-9
+        assert resonance_split_check(p, times).split
+
+    lam_half = p.config is Configuration.LAMBDA and p.coupling_convention == "half"
+    if lam_half and p.kappa_a**2 + p.kappa_b**2 >= 1e-2:
+        assert np.abs(lambda_closed_form(p, times) - traj.amplitudes).max() <= 1e-9
+
+    # RK4 wherever derivation notes section 9 predicts a tenth of the tolerance.
+    if rk4_error_estimate(p, checks.DT, times[-1])[1] <= checks.RK4_TOL / 10:
+        rk4 = integrate_bloch_ode(p, times, checks.DT)
+        assert np.abs(rk4.bloch - traj.bloch).max() <= checks.RK4_TOL

@@ -171,6 +171,19 @@ def test_bloch_from_density_rejects_non_hermitian():
         bloch_from_density(bad)
 
 
+NAN_RHO = np.full((3, 3), np.nan)
+
+
+@pytest.mark.parametrize("rho", [
+    NAN_RHO,
+    np.diag([np.nan, 0.0, 1.0]),
+    np.stack([np.eye(3) / 3, NAN_RHO]),
+], ids=["all-nan", "one-nan", "stack"])
+def test_bloch_from_density_refuses_nan(rho):
+    with pytest.raises(ConsistencyError, match="residue nan"):
+        bloch_from_density(rho)
+
+
 def test_bloch_from_amplitudes_matches_trace_map():
     amps = np.array([state_from_angles(a) for a in sample_angles(200)])
     direct = bloch_from_amplitudes(amps)
@@ -321,6 +334,17 @@ def test_purity_identity_and_bounds_on_mixtures():
 def test_validate_pure_state_rejects_unnormalized():
     with pytest.raises(ValueError):
         validate_pure_state(np.array([1.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("c", [
+    [np.nan, 0.0, 0.0],
+    [1.0, complex(0.0, np.nan), 0.0],
+    [np.inf, 0.0, 0.0],
+    [1e200, 0.0, 0.0],
+], ids=["nan", "nan-imag", "inf", "overflow"])
+def test_validate_pure_state_refuses_non_finite(c):
+    with pytest.raises(ValueError, match="not normalized"):
+        validate_pure_state(np.array(c, dtype=complex))
 
 
 def test_validate_density_rejects_negative_eigenvalue():
