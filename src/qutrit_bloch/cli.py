@@ -259,8 +259,13 @@ def _load_simulate_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("exactly one of --config or --figure is required")
     if args.config is not None:
         try:
-            text = Path(args.config).read_text(encoding="utf-8-sig")  # a BOM is dropped
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL
+            # One byte past the cap tells a longer file (or /dev/zero) from one at it.
+            with Path(args.config).open("rb") as fh:
+                data = fh.read(config.MAX_CONFIG_BYTES + 1)
+            if len(data) > config.MAX_CONFIG_BYTES:
+                raise ValueError(f"longer than {config.MAX_CONFIG_BYTES} bytes")
+            text = data.decode("utf-8-sig")  # a BOM is dropped
+        except (OSError, ValueError) as exc:  # ValueError: too long, not UTF-8, or a NUL
             raise ConfigError(f"cannot read {args.config}: {exc}") from None
     else:
         try:
@@ -298,7 +303,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override a configuration key (repeatable)",
     )
     sim.add_argument("--output", help="override the output path")
-    sim.add_argument("--format", choices=config.OUTPUT_FORMATS, help="override the output format")
+    # The formats are listed as argparse lists choices, but parse_run_config
+    # decides the value, as it does for the format key of a document.
+    sim.add_argument(
+        "--format", metavar="{" + ",".join(config.OUTPUT_FORMATS) + "}",
+        help="override the output format",
+    )
 
     ver = sub.add_parser("verify", help="run invariant suites")
     ver.add_argument(

@@ -18,11 +18,13 @@ comments. Recognized keys:
     format       csv | json                                 (default: csv)
     output       output file path                           (default: trajectory.<format>)
 
-Unknown keys are rejected. The initial amplitudes must arrive normalized,
-|c0|^2 within 1e-12 of 1 (``states.validate_pure_state``); they are never renormalized
-silently. An output path the OS cannot take (a NUL byte, an unencodable
-character) is refused here; any other output the OS refuses to create is
-refused by ``cli.run_simulate`` before any work.
+Unknown keys are rejected. Keys match exactly; the values of config,
+convention, emit and format match in any case and with surrounding spaces,
+and are kept in their lower-case spelling. The initial amplitudes must arrive
+normalized, |c0|^2 within 1e-12 of 1 (``states.validate_pure_state``); they
+are never renormalized silently. An output path the OS cannot take (a NUL
+byte, an unencodable character) is refused here; any other output the OS
+refuses to create is refused by ``cli.run_simulate`` before any work.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .dynamics import _EQUAL_POPULATIONS, COUPLING_CONVENTIONS, Configuration, S
 
 __all__ = [
     "ConfigError",
+    "MAX_CONFIG_BYTES",
     "MAX_GRID_ROWS",
     "RunConfig",
     "grid_rows",
@@ -50,6 +53,10 @@ __all__ = [
 #: Largest simulation grid a run may ask for, in rows: 100x the 10001 rows
 #: of a bundled figure. Refused at parse time, before anything is allocated.
 MAX_GRID_ROWS = 1_000_000
+
+#: Largest configuration file ``simulate --config`` reads, in bytes: about
+#: 10^4 times a bundled document. A longer file is refused before parsing.
+MAX_CONFIG_BYTES = 1 << 20
 
 EMIT_MODES = ("timeseries", "phase_portrait", "sectors")
 OUTPUT_FORMATS = ("csv", "json")
@@ -159,10 +166,15 @@ def parse_run_config(text: str, overrides: dict[str, str] | None = None) -> RunC
         lineno = pairs[key][1]
         return "override" if lineno == 0 else f"line {lineno}"
 
-    try:
-        config = Configuration.parse(pairs["config"][0])
-    except ValueError as exc:
-        raise ConfigError(f"{where('config')}: {exc}") from None
+    def choice(key: str, choices: tuple[str, ...]) -> str:
+        """The value of ``key``, one of the lower-case ``choices``; the first is
+        the default. The value is stripped and lower-cased before the match."""
+        value = pairs.get(key, (choices[0], 0))[0].strip().lower()
+        if value not in choices:
+            raise ConfigError(f"{where(key)}: {key} must be one of {', '.join(choices)}")
+        return value
+
+    config = Configuration(choice("config", tuple(c.value for c in Configuration)))
 
     numbers = {}
     for key in ("kappa_a", "kappa_b", "delta", "t_max", "dt"):
@@ -184,13 +196,6 @@ def parse_run_config(text: str, overrides: dict[str, str] | None = None) -> RunC
     c0_im = (0.0, 0.0, 0.0)
     if "c0_im" in pairs:
         c0_im = _parse_triple("c0_im", pairs["c0_im"][0], where("c0_im"))
-
-    def choice(key: str, choices: tuple[str, ...]) -> str:
-        """The value of ``key``, one of ``choices``; the first is the default."""
-        value = pairs.get(key, (choices[0], 0))[0]
-        if value not in choices:
-            raise ConfigError(f"{where(key)}: {key} must be one of {', '.join(choices)}")
-        return value
 
     convention = choice("convention", COUPLING_CONVENTIONS)
     emit = choice("emit", EMIT_MODES)

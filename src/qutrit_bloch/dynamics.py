@@ -64,14 +64,6 @@ class Configuration(Enum):
     VEE = "vee"
     XI = "xi"
 
-    @classmethod
-    def parse(cls, label: str) -> "Configuration":
-        try:
-            return cls(label.strip().lower())
-        except ValueError:
-            valid = ", ".join(c.value for c in cls)
-            raise ValueError(f"unknown configuration {label!r}; expected {valid}") from None
-
 
 _EQUAL_POPULATIONS = (
     complex(1.0 / _SQRT3), complex(1.0 / _SQRT3), complex(1.0 / _SQRT3),

@@ -1,6 +1,7 @@
 import __future__
 import dataclasses
 import inspect
+import itertools
 import json
 import math
 import os
@@ -85,7 +86,7 @@ def test_parse_empty_document_lists_required_keys():
     ("bogus=1\n" + FIG1A_TEXT, "unknown key"),
     (FIG1A_TEXT + "dt=0.02\n", "duplicate"),
     (FIG1A_TEXT.replace("kappa_a=0.3", "kappa_a=fast"), "line 2"),
-    (FIG1A_TEXT.replace("config=lambda", "config=omega"), "unknown configuration"),
+    (FIG1A_TEXT.replace("config=lambda", "config=omega"), "config must be one of"),
     (FIG1A_TEXT.replace("dt=0.01", "dt=200"), "exceed"),
     (FIG1A_TEXT.replace("dt=0.01", "dt=0"), "positive"),
     (FIG1A_TEXT.replace("kappa_a=0.3", "kappa_a=-0.3"), "nonnegative"),
@@ -99,15 +100,51 @@ def test_parse_rejects_bad_documents(text, fragment):
     assert fragment in str(err.value)
 
 
-@pytest.mark.parametrize("key,choices", [
+def with_value(key, value):
+    """FIG1A_TEXT with the line ``key=value`` in place of the key's line, or
+    appended; and that line's number."""
+    lines = FIG1A_TEXT.splitlines()
+    keys = [line.split("=")[0] for line in lines]
+    lineno = keys.index(key) + 1 if key in keys else len(lines) + 1
+    lines[lineno - 1:lineno] = [f"{key}={value}"]
+    return "\n".join(lines) + "\n", lineno
+
+
+CHOICE_KEYS = pytest.mark.parametrize("key,choices", [
+    ("config", "lambda, vee, xi"),
     ("convention", "half, full"),
     ("emit", "timeseries, phase_portrait, sectors"),
     ("format", "csv, json"),
 ])
+
+
+@CHOICE_KEYS
 def test_bad_choice_lists_every_choice(key, choices):
+    text, lineno = with_value(key, "other")
     with pytest.raises(ConfigError) as err:
-        parse_run_config(FIG1A_TEXT + f"{key}=other\n")
-    assert str(err.value) == f"line 7: {key} must be one of {choices}"
+        parse_run_config(text)
+    assert str(err.value) == f"line {lineno}: {key} must be one of {choices}"
+
+
+@CHOICE_KEYS
+def test_choice_values_match_in_any_case_and_spacing(key, choices):
+    # Every spelling of every value, padded in turn four ways, alternately as a
+    # document line and as an override.
+    pads = [("", ""), (" ", ""), ("", "\t"), ("  ", " \t ")]
+    for value in choices.split(", "):
+        expected = parse_run_config(with_value(key, value)[0])
+        assert parse_run_config(render_run_config(expected)) == expected
+        spellings = itertools.product(*(dict.fromkeys((c.lower(), c.upper())) for c in value))
+        for i, letters in enumerate(spellings):
+            before, after = pads[i // 2 % len(pads)]
+            spelled = before + "".join(letters) + after
+            if i % 2:
+                assert parse_run_config(FIG1A_TEXT, {key: spelled}) == expected
+            else:
+                assert parse_run_config(with_value(key, spelled)[0]) == expected
+    # Keys stay exact.
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_run_config(FIG1A_TEXT, {key.upper(): choices.split(", ")[0]})
 
 
 @pytest.mark.parametrize("key,value,message", [
@@ -119,15 +156,9 @@ def test_bad_choice_lists_every_choice(key, choices):
     ("c0_re", "1,0,-inf", "c0_re must be finite, got '-inf'"),
 ])
 def test_bad_number_names_line_or_override(key, value, message, capsys):
-    lines = FIG1A_TEXT.splitlines()
-    keys = [line.split("=")[0] for line in lines]
-    if key in keys:
-        lines[keys.index(key)] = f"{key}={value}"
-    else:
-        lines.append(f"{key}={value}")
-    lineno = lines.index(f"{key}={value}") + 1
+    text, lineno = with_value(key, value)
     with pytest.raises(ConfigError) as err:
-        parse_run_config("\n".join(lines) + "\n")
+        parse_run_config(text)
     assert str(err.value) == f"line {lineno}: {message}"
     with pytest.raises(ConfigError) as err:
         parse_run_config(FIG1A_TEXT, {key: value})
@@ -501,6 +532,55 @@ def test_main_simulate_config_with_bom(tmp_path):
     cfg_path.write_bytes(b"\xef\xbb\xbf" + figure_config_text("fig1a").encode())
     args = cli._build_parser().parse_args(["simulate", "--config", str(cfg_path)])
     assert cli._load_simulate_config(args) == load_figure("fig1a")
+
+
+def test_format_flag_is_a_choice_of_the_document(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    args = ["simulate", "--figure", "fig1a", "--set", "t_max=1", "--output", str(out), "--format"]
+    assert main(args + ["json"]) == 0
+    expected = out.read_bytes()
+    out.unlink()
+    assert main(args + ["JSON"]) == 0
+    assert out.read_bytes() == expected
+    capsys.readouterr()
+    assert main(args + ["xml"]) == 2
+    assert capsys.readouterr().err == "error: override: format must be one of csv, json\n"
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    help_lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["--format", "{csv,json}", "override", "the", "output", "format"] in help_lines
+
+
+def test_config_file_at_the_size_cap_is_read(tmp_path):
+    out = tmp_path / "out.csv"
+    doc = FIG1A_TEXT.replace("t_max=100", "t_max=1") + f"output={out}\n"
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(doc + "#" * (config.MAX_CONFIG_BYTES - len(doc.encode()) - 1) + "\n")
+    assert cfg_path.stat().st_size == config.MAX_CONFIG_BYTES
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    assert out.read_text().startswith(CSV_HEADER)
+
+
+@pytest.mark.parametrize("source", ["one-byte-over", "dev-zero"])
+def test_config_file_past_the_size_cap_is_refused(tmp_path, source):
+    # A subprocess under a 1 GiB address-space limit, so an unbounded read
+    # ends in MemoryError instead of taking the host's memory.
+    path = Path("/dev/zero")
+    if source == "one-byte-over":
+        path = tmp_path / "run.cfg"
+        path.write_text("#" * config.MAX_CONFIG_BYTES + "\n")
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from qutrit_bloch.cli import main; "
+        f"sys.exit(main(['simulate', '--config', {str(path)!r}]))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 2
+    assert result.stderr == (
+        f"error: cannot read {path}: longer than {config.MAX_CONFIG_BYTES} bytes\n"
+    )
+    assert result.stdout == ""
 
 
 def no_trajectory(p, times):

@@ -43,13 +43,6 @@ def params(base, delta=0.0, **kw):
     return SimParams(delta=delta, **base, **kw)
 
 
-def test_configuration_parse():
-    assert Configuration.parse(" Lambda ") is Configuration.LAMBDA
-    assert Configuration.parse("XI") is Configuration.XI
-    with pytest.raises(ValueError):
-        Configuration.parse("ladder")
-
-
 def test_sim_params_validation():
     with pytest.raises(ValueError):
         params(FIG_LAMBDA, c0=(1.0, 1.0, 0.0))
