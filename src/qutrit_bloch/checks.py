@@ -137,9 +137,7 @@ def algebra_suite() -> SuiteReport:
     report = SuiteReport()
     lam = su3.gellmann_basis()
 
-    gram = np.array(
-        [[np.trace(lam[k] @ lam[l]).real for l in range(1, 9)] for k in range(1, 9)]
-    )
+    gram = su3._gellmann_traces(lam[1:])[:, 1:].real  # Tr[lam_k lam_l], k, l >= 1
     report.results.append(CheckResult(
         "algebra/gellmann-orthogonality", "Tr[lam_k lam_l] = 2 delta_kl",
         float(np.abs(gram - 2.0 * np.eye(8)).max()), 1e-14,
@@ -162,11 +160,10 @@ def algebra_suite() -> SuiteReport:
         float(np.abs(sc.d - _reference_table(D_REFERENCE, False)).max()), 1e-14,
     ))
 
-    generators = np.stack(lam[1:])
     worst = 0.0
     for l in range(8):
         for m in range(8):
-            recon = 2j * np.einsum("n,nij->ij", sc.f[l, m], generators)
+            recon = 2j * np.einsum("n,nij->ij", sc.f[l, m], lam[1:])
             worst = max(worst, np.abs(su3.commutator(lam[l + 1], lam[m + 1]) - recon).max())
     report.results.append(CheckResult(
         "algebra/commutator-reconstruction", "[lam_l, lam_m] = 2i sum_n f_lmn lam_n",
@@ -177,7 +174,7 @@ def algebra_suite() -> SuiteReport:
     for l in range(8):
         for m in range(8):
             recon = (2.0 / 3.0) * (l == m) * lam[0] + np.einsum(
-                "n,nij->ij", sc.d[l, m] + 1j * sc.f[l, m], generators
+                "n,nij->ij", sc.d[l, m] + 1j * sc.f[l, m], lam[1:]
             )
             worst = max(worst, np.abs(lam[l + 1] @ lam[m + 1] - recon).max())
     report.results.append(CheckResult(

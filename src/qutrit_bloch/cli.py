@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks, config, figures
+from . import checks, config, figures, su3
 from .config import ConfigError, RunConfig, parse_run_config, run_config_dict, simulation_grid
 from .dynamics import Trajectory, bloch_trajectory
 from .states import BLOCH_NORM_SQ, CARDINAL_LABELS, bloch_from_amplitudes, cardinal_state
@@ -190,8 +190,10 @@ def run_simulate(cfg: RunConfig) -> int:
         # A huge but finite input overflows to inf/nan here; the check below
         # reports that as one error line instead of numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            traj = bloch_trajectory(cfg.params, times)
-            table, norm2 = _records(traj)
+            try:
+                table, norm2 = _records(bloch_trajectory(cfg.params, times))
+            except su3.ConsistencyError:  # H's Gell-Mann expansion overflowed to NaN
+                table = np.array(np.nan)
         if not np.isfinite(table).all():
             print("error: the trajectory has non-finite values; aborting without output",
                   file=sys.stderr)
@@ -275,7 +277,7 @@ def _load_simulate_config(args: argparse.Namespace) -> RunConfig:
     overrides: dict[str, str] = {}
     for item in args.set or []:
         if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
+            raise ConfigError(f"--set expects key=value, got {config._echo(item)}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
     if args.output is not None:

@@ -69,6 +69,13 @@ class ConfigError(ValueError):
     """Invalid run configuration document or values."""
 
 
+def _echo(text: str) -> str:
+    """``repr(text)`` for an error line; past 60 characters, that of its head and its length."""
+    if len(text) <= 60:
+        return repr(text)
+    return f"{text[:60]!r}... ({len(text)} characters)"
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully validated inputs of one simulation run."""
@@ -108,10 +115,10 @@ def _raw_pairs(text: str) -> dict[str, tuple[str, int]]:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw.strip()!r}")
+            raise ConfigError(f"line {lineno}: expected key=value, got {_echo(raw.strip())}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _ALL_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"line {lineno}: unknown key {_echo(key)}")
         if key in pairs:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         pairs[key] = (value, lineno)
@@ -122,9 +129,9 @@ def _parse_float(key: str, value: str, where: str) -> float:
     try:
         out = float(value)
     except ValueError:
-        raise ConfigError(f"{where}: {key} is not a number: {value!r}") from None
+        raise ConfigError(f"{where}: {key} is not a number: {_echo(value)}") from None
     if not math.isfinite(out):
-        raise ConfigError(f"{where}: {key} must be finite, got {value!r}")
+        raise ConfigError(f"{where}: {key} must be finite, got {_echo(value)}")
     return out
 
 
@@ -155,7 +162,7 @@ def parse_run_config(text: str, overrides: dict[str, str] | None = None) -> RunC
     if overrides:
         for key, value in overrides.items():
             if key not in _ALL_KEYS:
-                raise ConfigError(f"override: unknown key {key!r}")
+                raise ConfigError(f"override: unknown key {_echo(key)}")
             pairs[key] = (value, 0)
 
     missing = [k for k in _REQUIRED_KEYS if k not in pairs]
@@ -202,7 +209,7 @@ def parse_run_config(text: str, overrides: dict[str, str] | None = None) -> RunC
     output_format = choice("format", OUTPUT_FORMATS)
     output = pairs.get("output", (f"trajectory.{output_format}", 0))[0]
     if not _usable_path(output):
-        raise ConfigError(f"{where('output')}: output is not a usable file name: {output!r}")
+        raise ConfigError(f"{where('output')}: output is not a usable file name: {_echo(output)}")
 
     try:  # every other field is checked above: a ValueError is the |c0|^2 check
         params = SimParams(

@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .states import bloch_from_amplitudes, validate_pure_state
-from .su3 import ConsistencyError, gellmann_coefficients, structure_constants
+from .su3 import _readonly, _real_part, gellmann_coefficients, structure_constants
 
 __all__ = [
     "COUPLING_CONVENTIONS",
@@ -226,9 +226,7 @@ def adjoint_generator(p: SimParams) -> np.ndarray:
     """
     h = gellmann_coefficients(rotating_hamiltonian(p))
     f = structure_constants().f
-    m = 2.0 * np.einsum("j,jlk->kl", h[1:], f)
-    m.setflags(write=False)
-    return m
+    return _readonly(2.0 * np.einsum("j,jlk->kl", h[1:], f))
 
 
 #: One-based Bloch component indices of the two invariant sectors at
@@ -439,10 +437,7 @@ def _sector_polynomials(config: Configuration, c: np.ndarray) -> tuple[np.ndarra
             + c1**2 * (b2**2 - b3**2)
         )
 
-    residue = max(np.abs(s4.imag).max(), np.abs(s2.imag).max())
-    if residue > SECTOR_IMAG_TOL:
-        raise ConsistencyError(f"sector norms not real (residue {residue:.3e})")
-    return s4.real, s2.real
+    return tuple(_real_part(np.stack([s4, s2]), "sector norms", SECTOR_IMAG_TOL))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .su3 import ATOL_EXACT, ATOL_NUMERIC, ConsistencyError, gellmann_basis
+from .su3 import ATOL_EXACT, ATOL_NUMERIC, _gellmann_traces, _real_part, gellmann_basis
 
 __all__ = [
     "BLOCH_NORM_SQ",
@@ -145,18 +145,20 @@ def density_from_state(c: np.ndarray) -> np.ndarray:
 
 
 def validate_density(rho: np.ndarray) -> np.ndarray:
-    """Check Hermiticity, unit trace, and positivity of a density matrix."""
+    """Check finiteness, Hermiticity, unit trace, and positivity of a density matrix."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (3, 3):
         raise ValueError(f"density matrix must be 3x3, got {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has non-finite entries")
     herm = np.abs(rho - rho.conj().T).max()
-    if herm > ATOL_EXACT:
+    if not herm <= ATOL_EXACT:
         raise ValueError(f"density matrix not Hermitian (residue {herm:.3e})")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > ATOL_NUMERIC:
+    if not abs(tr - 1.0) <= ATOL_NUMERIC:
         raise ValueError(f"density matrix trace {tr!r} differs from 1")
     low = np.linalg.eigvalsh(rho).min()
-    if low < -PSD_TOL:
+    if not low >= -PSD_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
     return rho
 
@@ -168,13 +170,7 @@ def bloch_from_density(rho: np.ndarray) -> np.ndarray:
     must be real up to 1e-12; a larger or NaN imaginary residue (a
     non-Hermitian or non-finite input) raises :class:`ConsistencyError`.
     """
-    rho = np.asarray(rho, dtype=complex)
-    lam = np.stack(gellmann_basis()[1:])
-    traces = np.einsum("kij,...ji->...k", lam, rho)
-    residue = np.abs(traces.imag).max()
-    if not residue <= ATOL_NUMERIC:  # also refuses nan
-        raise ConsistencyError(f"Bloch traces not real (residue {residue:.3e})")
-    return traces.real.copy()
+    return _real_part(_gellmann_traces(rho)[..., 1:], "Bloch traces", ATOL_NUMERIC)
 
 
 def bloch_from_amplitudes(c: np.ndarray) -> np.ndarray:
@@ -254,20 +250,22 @@ def density_from_bloch(n: np.ndarray) -> np.ndarray:
 
     Accepts shape (8,) or (..., 8) and returns (3, 3) or (..., 3, 3); a
     vector gives the same bits alone or in a stack. The 3/2 weight makes
-    this the exact inverse of :func:`bloch_from_density`. Raises
-    :class:`BlochRegionError` if a reconstructed matrix has an eigenvalue
-    below -1e-10, i.e. the vector lies outside the physical region (which is
-    a proper subset of the 4/3-ball for a qutrit).
+    this the exact inverse of :func:`bloch_from_density`. Raises ValueError
+    for a non-finite component and :class:`BlochRegionError` if a
+    reconstructed matrix has an eigenvalue below -1e-10, i.e. the vector lies
+    outside the physical region (a proper subset of the 4/3-ball for a qutrit).
     """
     n = np.asarray(n, dtype=float)
     if n.shape[-1:] != (8,):
         raise ValueError(f"Bloch vector must have shape (8,), got {n.shape}")
+    if not np.isfinite(n).all():
+        raise ValueError("Bloch vector has non-finite components")
     lam = gellmann_basis()
     w = n[..., None, None]  # each component broadcast over a 3x3 matrix
     rho = lam[0] + 1.5 * sum(w[..., k, :, :] * lam[k + 1] for k in range(8))
     rho = rho / 3.0
     low = np.linalg.eigvalsh(rho).min()
-    if low < -PSD_TOL:
+    if not low >= -PSD_TOL:
         raise BlochRegionError(
             f"Bloch vector outside physical region (eigenvalue {low:.3e})"
         )

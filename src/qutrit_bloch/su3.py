@@ -53,8 +53,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def gellmann_basis() -> tuple[np.ndarray, ...]:
-    """Return (lambda_0, ..., lambda_8) as read-only 3x3 complex arrays.
+def gellmann_basis() -> np.ndarray:
+    """Return lambda_0, ..., lambda_8 as one read-only (9, 3, 3) complex array.
 
     lambda_0 is the identity; lambda_1..lambda_8 are the traceless Hermitian
     generators normalized so that Tr[lambda_k lambda_l] = 2 delta_kl.
@@ -69,7 +69,20 @@ def gellmann_basis() -> tuple[np.ndarray, ...]:
     lam[6] = [[0, 0, 0], [0, 0, 1], [0, 1, 0]]
     lam[7] = [[0, 0, 0], [0, 0, -1j], [0, 1j, 0]]
     lam[8] = np.diag([1.0, 1.0, -2.0]) / _SQRT3
-    return tuple(_readonly(lam[k]) for k in range(9))
+    return _readonly(lam)
+
+
+def _gellmann_traces(m: np.ndarray) -> np.ndarray:
+    """Tr[lambda_k m] for k = 0..8 of a matrix or stack: (..., 3, 3) -> complex (..., 9)."""
+    return np.einsum("kij,...ji->...k", gellmann_basis(), m)
+
+
+def _real_part(values: np.ndarray, what: str, tol: float) -> np.ndarray:
+    """A real copy of ``values``; ConsistencyError if any imaginary part is NaN or above ``tol``."""
+    residue = np.abs(values.imag).max()
+    if not residue <= tol:
+        raise ConsistencyError(f"{what} not real (residue {residue:.3e})")
+    return values.real.copy()
 
 
 def gellmann(k: int) -> np.ndarray:
@@ -141,29 +154,23 @@ def derive_structure_constants(basis) -> StructureConstants:
     Uses f_lmn = Tr[[lambda_l, lambda_m] lambda_n] / 4i and
     d_lmn = Tr[{lambda_l, lambda_m} lambda_n] / 4. The traces must be real
     (imaginary residue at most 1e-14) for a valid Hermitian basis; anything
-    larger raises :class:`ConsistencyError`.
+    larger, or NaN, raises :class:`ConsistencyError`.
     """
-    lam = [np.asarray(basis[k], dtype=complex) for k in range(9)]
-    f = np.zeros((8, 8, 8))
-    d = np.zeros((8, 8, 8))
+    lam = np.asarray(basis, dtype=complex)
+    f = np.zeros((8, 8, 8), dtype=complex)
+    d = np.zeros((8, 8, 8), dtype=complex)
     for triple in combinations_with_replacement(range(8), 3):
         a, b, c = (lam[i + 1] for i in triple)
         td = np.trace(anticommutator(a, b) @ c) / 4.0
-        if abs(td.imag) > ATOL_EXACT:
-            raise ConsistencyError(
-                f"d-trace for {triple} has imaginary residue {td.imag:.3e}"
-            )
         for perm in set(permutations(triple)):
-            d[perm] = td.real
+            d[perm] = td
         if len(set(triple)) < 3:
             continue  # f vanishes identically on repeated indices
         tf = np.trace(commutator(a, b) @ c) / 4.0j
-        if abs(tf.imag) > ATOL_EXACT:
-            raise ConsistencyError(
-                f"f-trace for {triple} has imaginary residue {tf.imag:.3e}"
-            )
         for perm, sign in PERMUTATION_SIGN.items():
-            f[tuple(triple[i] for i in perm)] = sign * tf.real
+            f[tuple(triple[i] for i in perm)] = sign * tf
+    d = _real_part(d, "d-traces", ATOL_EXACT)
+    f = _real_part(f, "f-traces", ATOL_EXACT)
     return StructureConstants(f=_readonly(f), d=_readonly(d))
 
 
@@ -179,15 +186,7 @@ def gellmann_coefficients(matrix: np.ndarray) -> np.ndarray:
     Returns the real coefficient vector (h_0, ..., h_8) with
     h_0 = Tr[H] / 3 and h_k = Tr[lambda_k H] / 2 for k >= 1. Raises
     :class:`ConsistencyError` if any coefficient has an imaginary residue
-    above 1e-12 (a non-Hermitian input).
+    above 1e-12 (a non-Hermitian input) or a NaN one (a non-finite input).
     """
-    h = np.empty(9, dtype=complex)
-    lam = gellmann_basis()
-    h[0] = np.trace(matrix) / 3.0
-    for k in range(1, 9):
-        h[k] = np.einsum("ij,ji->", lam[k], matrix) / 2.0
-    if np.abs(h.imag).max() > ATOL_NUMERIC:
-        raise ConsistencyError(
-            f"expansion coefficients not real (residue {np.abs(h.imag).max():.3e})"
-        )
-    return h.real.copy()
+    h = _gellmann_traces(matrix) / np.array([3.0] + [2.0] * 8)
+    return _real_part(h, "expansion coefficients", ATOL_NUMERIC)

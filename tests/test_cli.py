@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -749,6 +750,36 @@ def test_main_simulate_bad_override(capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+LONG = 270_000
+
+
+@pytest.mark.parametrize("line,args", [
+    ("x" * LONG, []),
+    ("k" * LONG + "=1", []),
+    ("kappa_a=" + "x" * LONG, []),
+    ("", ["--set", "delta=" + "0" * LONG + "1e999"]),
+    ("", ["--set", "k" * LONG + "=1"]),
+    ("", ["--output", "a" * LONG + "\0"]),
+    ("", ["--set", "s" * LONG]),
+], ids=["no-equals", "unknown-key", "not-a-number", "not-finite", "unknown-override",
+        "unusable-output", "set-no-equals"])
+def test_long_input_echo_is_cut(tmp_path, capsys, line, args):
+    text = FIG1A_TEXT.replace("kappa_a=0.3\n", "") if line.startswith("kappa_a=") else FIG1A_TEXT
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text + line + "\n")
+    assert main(["simulate", "--config", str(cfg_path)] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 200
+    assert re.search(r"\.\.\. \(27000\d characters\)\n$", err)
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_echo_keeps_text_up_to_the_bound():
+    assert config._echo("a" * 60) == repr("a" * 60)
+    assert config._echo("a\0" * 30) == repr("a\0" * 30)
+    assert config._echo("a" * 61) == repr("a" * 60) + "... (61 characters)"
+
+
 def reference_csv(path, table):
     """The per-value CSV writer the block writer must match byte for byte."""
     with open(path, "w", newline="\n") as fh:
@@ -867,15 +898,20 @@ def test_failed_helper_keeps_existing_output(tmp_path, capsys, monkeypatch, fmt,
     assert_no_child_left()
 
 
-def test_cli_import_starts_no_pool_machinery():
-    # A process pool's modules would add start-up time to every CLI run.
+def test_cli_import_starts_no_pool_machinery(tmp_path):
+    # A process pool's modules would add start-up time to every CLI run, and
+    # numpy.random (25 ms, 5.6 MB) is for verify's samples only.
     code = (
         "import sys, qutrit_bloch.cli; "
-        "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)"
+        "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules); "
+        "code = qutrit_bloch.cli.main(sys.argv[1:]); "
+        "print(code, 'numpy.random' in sys.modules)"
     )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            timeout=60, check=True)
-    assert result.stdout == "False False\n"
+    out = tmp_path / "out.csv"
+    args = ["simulate", "--figure", "fig1a", "--set", "t_max=1", "--output", str(out)]
+    result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout == f"False False\nwrote 101 records to {out}\n0 False\n"
 
 
 FIG1A_JSON_HEAD = """\

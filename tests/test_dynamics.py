@@ -356,6 +356,10 @@ def test_sector_initial_norms_scalar_shape_and_consistency_error(monkeypatch):
     batch4, batch2 = dynamics._sector_polynomials(p.config, np.array([p.c0_array] * 3))
     assert batch4.shape == batch2.shape == (3,)
     assert np.all(batch4 == s4) and np.all(batch2 == s2)
+    nan_row = np.array([p.c0_array] * 3)
+    nan_row[1, 0] = np.nan
+    with pytest.raises(ConsistencyError, match=r"sector norms not real \(residue nan\)"):
+        dynamics._sector_polynomials(p.config, nan_row)
     monkeypatch.setattr(dynamics, "SECTOR_IMAG_TOL", -1.0)
     with pytest.raises(ConsistencyError, match="sector norms not real"):
         sector_initial_norms(p)

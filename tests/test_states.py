@@ -278,6 +278,15 @@ def test_density_from_bloch_stack_with_one_unphysical_row_raises():
     density_from_bloch(np.delete(n, 3, axis=0))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(8,), (3, 8)], ids=["vector", "stack"])
+def test_density_from_bloch_refuses_non_finite(shape, value):
+    n = np.zeros(shape)
+    n[..., 2] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        density_from_bloch(n)
+
+
 @pytest.mark.parametrize("shape", [(), (7,), (9,), (8, 3)])
 def test_density_from_bloch_rejects_wrong_shape(shape):
     with pytest.raises(ValueError, match=r"must have shape \(8,\), got"):
@@ -345,6 +354,17 @@ def test_validate_pure_state_rejects_unnormalized():
 def test_validate_pure_state_refuses_non_finite(c):
     with pytest.raises(ValueError, match="not normalized"):
         validate_pure_state(np.array(c, dtype=complex))
+
+
+@pytest.mark.parametrize("rho", [
+    np.diag([np.nan, 0.5, 0.5]),
+    NAN_RHO,
+    np.diag([np.inf, 0.5, 0.5]),
+    np.diag([1.0, 0.0, 0.0]) + np.diag([complex(0, np.inf)] * 3),
+], ids=["one-nan", "all-nan", "inf", "complex-inf"])
+def test_validate_density_refuses_non_finite(rho):
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_density(rho)
 
 
 def test_validate_density_rejects_negative_eigenvalue():

@@ -43,6 +43,10 @@ def test_gellmann_orthogonality_and_traces():
 
 
 def test_basis_is_readonly():
+    lam = gellmann_basis()
+    assert type(lam) is np.ndarray and lam.shape == (9, 3, 3) and lam.dtype == complex
+    assert not lam.flags.writeable
+    assert len(lam) == 9 and all(np.array_equal(m, gellmann(k)) for k, m in enumerate(lam))
     with pytest.raises(ValueError):
         gellmann(3)[0, 0] = 5.0
 
@@ -147,7 +151,14 @@ def test_derive_structure_constants_rejects_bad_basis():
     bad = broken[1].copy()
     bad[0, 0] = 1e-3j  # non-Hermitian perturbation leaves complex traces
     broken[1] = bad
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match=r"not real \(residue 1.500e-03\)"):
+        derive_structure_constants(broken)
+
+
+def test_derive_structure_constants_refuses_nan_entry():
+    broken = np.array(gellmann_basis())
+    broken[1, 0, 0] = np.nan
+    with pytest.raises(ConsistencyError, match=r"not real \(residue nan\)"):
         derive_structure_constants(broken)
 
 
@@ -161,6 +172,38 @@ def test_gellmann_coefficients_roundtrip():
     assert np.abs(recon - herm).max() <= 1e-14
 
 
+def reference_coefficients(matrix):
+    """The per-k trace loop the one batched trace map must match bit for bit."""
+    lam = gellmann_basis()
+    h = np.empty(9, dtype=complex)
+    h[0] = np.trace(matrix) / 3.0
+    for k in range(1, 9):
+        h[k] = np.einsum("ij,ji->", lam[k], matrix) / 2.0
+    return h.real
+
+
+def test_gellmann_coefficients_match_per_k_reference():
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=(500, 3, 3)) + 1j * rng.normal(size=(500, 3, 3))
+    for herm in a + a.conj().transpose(0, 2, 1):
+        assert np.array_equal(gellmann_coefficients(herm), reference_coefficients(herm))
+    # A real matrix (every rotating Hamiltonian) keeps h_1..h_8 bit for bit; its
+    # h_0 is now a complex division, Tr/3 as Tr * (1/3), within an ulp of the old.
+    for sym in a.real + a.real.transpose(0, 2, 1):
+        h, ref = gellmann_coefficients(sym), reference_coefficients(sym)
+        assert np.array_equal(h[1:], ref[1:])
+        assert abs(h[0] - ref[0]) <= np.spacing(abs(ref[0]))
+
+
 def test_gellmann_coefficients_rejects_non_hermitian():
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match="expansion coefficients not real"):
         gellmann_coefficients(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]]))
+
+
+@pytest.mark.parametrize("matrix", [
+    np.diag([np.nan, 0.0, 0.0]),
+    np.full((3, 3), np.nan),
+], ids=["one-nan", "all-nan"])
+def test_gellmann_coefficients_refuse_nan(matrix):
+    with pytest.raises(ConsistencyError, match=r"not real \(residue nan\)"):
+        gellmann_coefficients(matrix)
