@@ -143,8 +143,8 @@ def algebra_suite() -> SuiteReport:
         float(np.abs(gram - 2.0 * np.eye(8)).max()), 1e-14,
     ))
 
-    herm = max(np.abs(m - m.conj().T).max() for m in lam)
-    traces = max(abs(np.trace(lam[k])) for k in range(1, 9))
+    herm = np.abs(lam - lam.conj().swapaxes(1, 2)).max()
+    traces = np.abs(np.trace(lam[1:], axis1=1, axis2=2)).max()
     report.results.append(CheckResult(
         "algebra/gellmann-hermitian-traceless", "lam_k = lam_k^dag, Tr lam_k = 0",
         float(max(herm, traces, abs(np.trace(lam[0]) - 3.0))), 1e-14,
@@ -160,37 +160,32 @@ def algebra_suite() -> SuiteReport:
         float(np.abs(sc.d - _reference_table(D_REFERENCE, False)).max()), 1e-14,
     ))
 
-    worst = 0.0
-    for l in range(8):
-        for m in range(8):
-            recon = 2j * np.einsum("n,nij->ij", sc.f[l, m], lam[1:])
-            worst = max(worst, np.abs(su3.commutator(lam[l + 1], lam[m + 1]) - recon).max())
+    # products[l, m] = lam_{l+1} lam_{m+1}: one table for both expansions.
+    products = lam[1:, None] @ lam[None, 1:]
+    recon = 2j * np.einsum("lmn,nij->lmij", sc.f, lam[1:])
     report.results.append(CheckResult(
         "algebra/commutator-reconstruction", "[lam_l, lam_m] = 2i sum_n f_lmn lam_n",
-        float(worst), 1e-12,
+        float(np.abs(products - products.swapaxes(0, 1) - recon).max()), 1e-12,
     ))
-
-    worst = 0.0
-    for l in range(8):
-        for m in range(8):
-            recon = (2.0 / 3.0) * (l == m) * lam[0] + np.einsum(
-                "n,nij->ij", sc.d[l, m] + 1j * sc.f[l, m], lam[1:]
-            )
-            worst = max(worst, np.abs(lam[l + 1] @ lam[m + 1] - recon).max())
+    recon = (2.0 / 3.0) * np.eye(8)[:, :, None, None] * lam[0] + np.einsum(
+        "lmn,nij->lmij", sc.d + 1j * sc.f, lam[1:]
+    )
     report.results.append(CheckResult(
         "algebra/product-expansion",
         "lam_l lam_m = (2/3) delta_lm + sum_n (d_lmn + i f_lmn) lam_n",
-        float(worst), 1e-12,
+        float(np.abs(products - recon).max()), 1e-12,
     ))
 
-    worst = 0.0
-    for fam in ("T", "V", "U"):
-        plus = su3.shift_operator(fam, "plus")
-        minus = su3.shift_operator(fam, "minus")
-        three = su3.shift_operator(fam, "three")
-        worst = max(worst, np.abs(su3.commutator(plus, minus) - three).max())
-        worst = max(worst, np.abs(su3.commutator(plus, three) + 2.0 * plus).max())
-        worst = max(worst, np.abs(su3.commutator(minus, three) - 2.0 * minus).max())
+    # The T, V and U operators of each kind, stacked; commutator broadcasts.
+    plus, minus, three = (
+        np.stack([su3.shift_operator(fam, kind) for fam in ("T", "V", "U")])
+        for kind in ("plus", "minus", "three")
+    )
+    worst = max(
+        np.abs(su3.commutator(plus, minus) - three).max(),
+        np.abs(su3.commutator(plus, three) + 2.0 * plus).max(),
+        np.abs(su3.commutator(minus, three) - 2.0 * minus).max(),
+    )
     report.results.append(CheckResult(
         "algebra/shift-commutators",
         "[X+, X-] = X3, [X+, X3] = -2 X+, [X-, X3] = 2 X- for X in T, V, U",
@@ -272,16 +267,17 @@ def state_suite() -> SuiteReport:
     ))
 
     mapped = states.bloch_from_amplitudes(amps)
-    traced = states.bloch_from_density(states.density_from_state(amps))
+    rhos = states.density_from_state(amps)
+    traced = states.bloch_from_density(rhos)
     report.results.append(CheckResult(
         "state/geometric-trace-map-equivalence",
         "closed form equals Tr[lam rho] componentwise",
         float(max(np.abs(geo - mapped).max(), np.abs(geo - traced).max())), 1e-12,
     ))
 
-    rhos = random_mixtures(MIXTURE_SAMPLES)
-    purities = states.purity(rhos)
-    bloch_sq = (states.bloch_from_density(rhos) ** 2).sum(axis=1)
+    mixtures = random_mixtures(MIXTURE_SAMPLES)
+    purities = states.purity(mixtures)
+    bloch_sq = (states.bloch_from_density(mixtures) ** 2).sum(axis=1)
     report.results.append(CheckResult(
         "state/purity-identity", "Tr[rho^2] = (1/3)(1 + (3/2) |n|^2) on mixtures",
         float(np.abs(purities - (1.0 + 1.5 * bloch_sq) / 3.0).max()), 1e-12,
@@ -292,7 +288,7 @@ def state_suite() -> SuiteReport:
         bound_violation, 1e-12,
     ))
 
-    pure = states.density_from_state(amps[:1000])
+    pure = rhos[:1000]
     report.results.append(CheckResult(
         "state/pure-idempotency", "rho^2 = rho for pure states",
         float(np.abs(pure @ pure - pure).max()), 1e-12,
@@ -322,7 +318,7 @@ def dynamics_suite() -> SuiteReport:
     report = SuiteReport()
     sets = figures.parameter_sets()
 
-    unit = norm = antisym = sector_dev = closed_dev = off_dev = 0.0
+    unit = norm = antisym = sector_dev = closed_dev = off_dev = generator_dev = worst_rk4 = 0.0
     # One figure run at a time: all seven on this grid would hold 14 MB.
     for label, p in sets.items():
         traj = dynamics.bloch_trajectory(p, FIGURE_GRID)
@@ -336,9 +332,21 @@ def dynamics_suite() -> SuiteReport:
             sector_dev = max(sector_dev, sector)
         if label == "lambda@1.2":
             off_dev = sector
+            generator_dev = np.abs(m - lambda_generator_reference(p)).max()
         if label in ("lambda@0", "lambda@0.2"):
             closed = dynamics.lambda_closed_form(p, FIGURE_GRID)
             closed_dev = max(closed_dev, np.abs(closed - traj.amplitudes).max())
+        theta, estimate = dynamics.rk4_error_estimate(p, DT, T_MAX)
+        dev = rk4_deviation(p)
+        if estimate > RK4_GUARD_FRACTION * RK4_TOL:
+            report.notes.append(
+                f"dynamics/oracle-triangle-rk4: {label} skipped at dt={DT:g}:"
+                f" step angle {theta:.2g} predicts accumulated error {estimate:.1e}"
+                f" (measured {dev:.1e}); fixed-step RK4 cannot meet {RK4_TOL:g}"
+                f" at this operating point. See docs/derivation_notes.md."
+            )
+        else:
+            worst_rk4 = max(worst_rk4, dev)
     report.results.append(CheckResult(
         "dynamics/unitarity", "amplitude norm 1 on all figure runs",
         float(unit), 1e-12,
@@ -356,34 +364,16 @@ def dynamics_suite() -> SuiteReport:
         "sector norms constant and equal to closed-form initial values at delta = 0",
         float(sector_dev), 1e-9,
     ))
-
-    p_lambda = sets["lambda@1.2"]
-    m_ref = lambda_generator_reference(p_lambda)
     report.results.append(CheckResult(
         "dynamics/lambda-generator-reference",
         "generated Lambda M matches the derived coefficient table",
-        float(np.abs(dynamics.adjoint_generator(p_lambda) - m_ref).max()), 1e-15,
+        float(generator_dev), 1e-15,
     ))
-
-    worst_rk4 = 0.0
-    for label, p in sets.items():
-        theta, estimate = dynamics.rk4_error_estimate(p, DT, T_MAX)
-        dev = rk4_deviation(p)
-        if estimate > RK4_GUARD_FRACTION * RK4_TOL:
-            report.notes.append(
-                f"dynamics/oracle-triangle-rk4: {label} skipped at dt={DT:g}:"
-                f" step angle {theta:.2g} predicts accumulated error {estimate:.1e}"
-                f" (measured {dev:.1e}); fixed-step RK4 cannot meet {RK4_TOL:g}"
-                f" at this operating point. See docs/derivation_notes.md."
-            )
-        else:
-            worst_rk4 = max(worst_rk4, dev)
     report.results.append(CheckResult(
         "dynamics/oracle-triangle-rk4",
         f"RK4 (dt={DT:g}) vs exact propagator on resolvable figure runs",
         worst_rk4, RK4_TOL,
     ))
-
     report.results.append(CheckResult(
         "dynamics/lambda-closed-form",
         "closed-form Lambda amplitudes vs exact propagator (delta 0 and 0.2)",

@@ -215,7 +215,8 @@ def run_simulate(cfg: RunConfig) -> int:
         if path != target:
             os.replace(path, target)
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        print(f"error: cannot write {config._echo(str(out))}: {exc.strerror or exc}",
+              file=sys.stderr)
         return 2
     finally:
         # No temp file is left after the rename, an exit 2 or an exit 3.
@@ -268,7 +269,8 @@ def _load_simulate_config(args: argparse.Namespace) -> RunConfig:
                 raise ValueError(f"longer than {config.MAX_CONFIG_BYTES} bytes")
             text = data.decode("utf-8-sig")  # a BOM is dropped
         except (OSError, ValueError) as exc:  # ValueError: too long, not UTF-8, or a NUL
-            raise ConfigError(f"cannot read {args.config}: {exc}") from None
+            reason = getattr(exc, "strerror", None) or exc  # an OSError's str repeats the path
+            raise ConfigError(f"cannot read {config._echo(args.config)}: {reason}") from None
     else:
         try:
             text = figures.figure_config_text(args.figure)
@@ -297,9 +299,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run one trajectory and export it")
     sim.add_argument("--config", help="path to a key=value run configuration")
-    sim.add_argument(
-        "--figure", choices=figures.FIGURE_NAMES, help="bundled figure configuration"
-    )
+    # Listed as argparse lists choices; figure_config_text decides the name.
+    sim.add_argument("--figure", metavar="{" + ",".join(figures.FIGURE_NAMES) + "}",
+                     help="bundled figure configuration")
     sim.add_argument(
         "--set", action="append", metavar="KEY=VALUE",
         help="override a configuration key (repeatable)",

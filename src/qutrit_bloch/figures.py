@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .config import RunConfig, parse_run_config
+from .config import RunConfig, _echo, parse_run_config
 from .dynamics import SimParams
 
 __all__ = ["FIGURE_NAMES", "figure_config_text", "load_figure", "parameter_sets"]
@@ -23,7 +23,7 @@ FIGURE_NAMES = (
 def figure_config_text(name: str) -> str:
     """Return the raw config document for a bundled figure name."""
     if name not in FIGURE_NAMES:
-        raise ValueError(f"unknown figure {name!r}; expected one of {', '.join(FIGURE_NAMES)}")
+        raise ValueError(f"unknown figure {_echo(name)}; expected one of {', '.join(FIGURE_NAMES)}")
     return resources.files(__package__).joinpath(f"configs/{name}.cfg").read_text()
 
 

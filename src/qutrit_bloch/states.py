@@ -51,6 +51,9 @@ PSD_TOL = 1e-10
 
 _SQRT3 = math.sqrt(3.0)
 
+#: |n_k| <= |n| <= 2/sqrt(3) on the physical region; the slack admits rounding.
+_COMPONENT_BOUND = 2.0 / _SQRT3 * (1.0 + 1e-12)
+
 
 class BlochRegionError(ValueError):
     """A Bloch vector lies outside the physical (positive semidefinite) region."""
@@ -251,15 +254,17 @@ def density_from_bloch(n: np.ndarray) -> np.ndarray:
     Accepts shape (8,) or (..., 8) and returns (3, 3) or (..., 3, 3); a
     vector gives the same bits alone or in a stack. The 3/2 weight makes
     this the exact inverse of :func:`bloch_from_density`. Raises ValueError
-    for a non-finite component and :class:`BlochRegionError` if a
-    reconstructed matrix has an eigenvalue below -1e-10, i.e. the vector lies
-    outside the physical region (a proper subset of the 4/3-ball for a qutrit).
+    for a non-finite component and :class:`BlochRegionError` if a component
+    exceeds 2/sqrt(3) or a reconstructed eigenvalue is below -1e-10, i.e. the
+    vector lies outside the physical region (a proper subset of the 4/3-ball).
     """
     n = np.asarray(n, dtype=float)
     if n.shape[-1:] != (8,):
         raise ValueError(f"Bloch vector must have shape (8,), got {n.shape}")
     if not np.isfinite(n).all():
         raise ValueError("Bloch vector has non-finite components")
+    if (np.abs(n) > _COMPONENT_BOUND).any():  # refused before it can overflow below
+        raise BlochRegionError("Bloch vector outside physical region (a component above 2/sqrt(3))")
     lam = gellmann_basis()
     w = n[..., None, None]  # each component broadcast over a 3x3 matrix
     rho = lam[0] + 1.5 * sum(w[..., k, :, :] * lam[k + 1] for k in range(8))

@@ -173,3 +173,18 @@ def test_criterion_11_json_format_matches(cli_runs, tmp_path):
     expected = bloch_trajectory(p, times)
     got = np.array([[row[f"n{k}"] for k in range(1, 9)] for row in obj["rows"]])
     assert np.array_equal(got, expected.bloch)
+
+
+def test_verify_all_end_to_end():
+    # The installable self-check as a user runs it, with every warning an error.
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qutrit_bloch.cli", "verify", "all"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "25/25 checks passed"
+    infos = [line for line in lines if line.startswith("INFO ")]
+    assert len(infos) == 1
+    assert infos[0].startswith("INFO dynamics/oracle-triangle-rk4: xi@20 skipped at dt=0.01")

@@ -579,7 +579,8 @@ def test_config_file_past_the_size_cap_is_refused(tmp_path, source):
                             timeout=60)
     assert result.returncode == 2
     assert result.stderr == (
-        f"error: cannot read {path}: longer than {config.MAX_CONFIG_BYTES} bytes\n"
+        f"error: cannot read {config._echo(str(path))}:"
+        f" longer than {config.MAX_CONFIG_BYTES} bytes\n"
     )
     assert result.stdout == ""
 
@@ -588,13 +589,18 @@ def no_trajectory(p, times):
     raise AssertionError("the trajectory ran for an output that cannot be written")
 
 
+def write_error(out, reason):
+    """The one line ``simulate`` prints for an output it cannot write."""
+    return f"error: cannot write {config._echo(str(out))}: {reason}\n"
+
+
 @pytest.mark.parametrize("output", [".", "", "missing/x.csv"])
 def test_directory_output_refused_before_any_work(tmp_path, capsys, monkeypatch, output):
     monkeypatch.setattr(cli, "bloch_trajectory", no_trajectory)
     monkeypatch.chdir(tmp_path)
     assert main(["simulate", "--figure", "fig1a", "--output", output]) == 2
     reason = "No such file or directory" if "/" in output else "Is a directory"
-    assert capsys.readouterr().err == f"error: cannot write {Path(output)}: {reason}\n"
+    assert capsys.readouterr().err == write_error(Path(output), reason)
     assert main(["simulate", "--figure", "fig1a", "--output", str(tmp_path)]) == 2
     assert "Is a directory" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
@@ -607,7 +613,7 @@ def test_occupied_temp_name_refused_before_any_work(tmp_path, capsys, monkeypatc
     occupied = tmp_path / f"out.csv.{os.getpid()}.tmp"
     occupied.mkdir()
     assert main(["simulate", "--figure", "fig1a", "--output", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
+    assert capsys.readouterr().err == write_error(out, "Is a directory")
     assert list(tmp_path.iterdir()) == [occupied]
 
 
@@ -761,16 +767,21 @@ LONG = 270_000
     ("", ["--set", "k" * LONG + "=1"]),
     ("", ["--output", "a" * LONG + "\0"]),
     ("", ["--set", "s" * LONG]),
+    ("", ["--config", "c" * LONG]),  # the last --config is the one read
+    ("", ["--output", "o" * LONG]),
+    ("", ["--figure", "f" * LONG]),  # read instead of the config
 ], ids=["no-equals", "unknown-key", "not-a-number", "not-finite", "unknown-override",
-        "unusable-output", "set-no-equals"])
+        "unusable-output", "set-no-equals", "config-path", "output-path", "figure"])
 def test_long_input_echo_is_cut(tmp_path, capsys, line, args):
     text = FIG1A_TEXT.replace("kappa_a=0.3\n", "") if line.startswith("kappa_a=") else FIG1A_TEXT
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(text + line + "\n")
-    assert main(["simulate", "--config", str(cfg_path)] + args) == 2
+    source = [] if "--figure" in args else ["--config", str(cfg_path)]
+    assert main(["simulate", *source, *args]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 200
-    assert re.search(r"\.\.\. \(27000\d characters\)\n$", err)
+    # The figure line also lists the 12 names (84 bytes); an OS refusal adds its reason.
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 300
+    assert re.search(r"\.\.\. \(27000\d characters\)([:;] [^\n]*)?\n$", err)
     assert list(tmp_path.iterdir()) == [cfg_path]
 
 
@@ -892,7 +903,7 @@ def test_failed_helper_keeps_existing_output(tmp_path, capsys, monkeypatch, fmt,
         reason = "No space left on device"
         t_max = 100
     assert run_simulate(short_cfg(tmp_path, output=out, format=fmt, t_max=t_max)) == 2
-    assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+    assert capsys.readouterr().err == write_error(out, reason)
     assert list(tmp_path.iterdir()) == [out]
     assert out.read_bytes() == b"earlier run\n"
     assert_no_child_left()

@@ -278,6 +278,20 @@ def test_density_from_bloch_stack_with_one_unphysical_row_raises():
     density_from_bloch(np.delete(n, 3, axis=0))
 
 
+@pytest.mark.parametrize("shape", [(8,), (3, 8)], ids=["vector", "stack"])
+def test_density_from_bloch_refuses_huge_vector(shape):
+    # Refused before the reconstruction, which would overflow (an error under -W error).
+    with pytest.raises(BlochRegionError, match=r"component above 2/sqrt\(3\)"):
+        density_from_bloch(np.full(shape, 1e308))
+
+
+@pytest.mark.parametrize("label", CARDINAL_EXPECTED)
+def test_cardinal_bloch_vectors_roundtrip(label):
+    # |3> has n8 = -2/sqrt(3), one ulp above sqrt(4/3) in magnitude: still admitted.
+    n = bloch_from_amplitudes(cardinal_state(label)[1])
+    assert np.abs(bloch_from_density(density_from_bloch(n)) - n).max() <= 1e-15
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("shape", [(8,), (3, 8)], ids=["vector", "stack"])
 def test_density_from_bloch_refuses_non_finite(shape, value):

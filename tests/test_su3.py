@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qutrit_bloch import checks
 from qutrit_bloch.checks import D_REFERENCE, F_REFERENCE, SHIFT_ACTIONS
 from qutrit_bloch.su3 import (
     ConsistencyError,
@@ -144,6 +145,31 @@ def test_anticommutator_expansion_from_d():
                 "n,nij->ij", sc.d[l, m], stack
             )
             assert np.abs(anticommutator(lam[l + 1], lam[m + 1]) - recon).max() <= 1e-12
+
+
+def reference_expansion_residuals():
+    """The per-pair loops the stacked product table of ``verify`` must match bit for bit."""
+    lam = gellmann_basis()
+    sc = structure_constants()
+    commutators = products = 0.0
+    for l in range(8):
+        for m in range(8):
+            recon = 2j * np.einsum("n,nij->ij", sc.f[l, m], lam[1:])
+            residual = np.abs(commutator(lam[l + 1], lam[m + 1]) - recon).max()
+            commutators = max(commutators, residual)
+            recon = (2.0 / 3.0) * (l == m) * lam[0] + np.einsum(
+                "n,nij->ij", sc.d[l, m] + 1j * sc.f[l, m], lam[1:]
+            )
+            products = max(products, np.abs(lam[l + 1] @ lam[m + 1] - recon).max())
+    return commutators, products
+
+
+def test_algebra_suite_matches_per_pair_loops():
+    residuals = {r.name: r.residual for r in checks.algebra_suite().results}
+    commutators, products = reference_expansion_residuals()
+    assert commutators > 0.0 and products > 0.0  # rounding shows, so equality is bitwise
+    assert residuals["algebra/commutator-reconstruction"] == commutators
+    assert residuals["algebra/product-expansion"] == products
 
 
 def test_derive_structure_constants_rejects_bad_basis():
