@@ -51,8 +51,8 @@ PSD_TOL = 1e-10
 
 _SQRT3 = math.sqrt(3.0)
 
-#: |n_k| <= |n| <= 2/sqrt(3) on the physical region; the slack admits rounding.
-_COMPONENT_BOUND = 2.0 / _SQRT3 * (1.0 + 1e-12)
+#: The largest |n_k| the PSD_TOL check admits, (2/sqrt(3))(1 + 3 PSD_TOL) for n_8.
+_COMPONENT_BOUND = 2.0 / _SQRT3 + 2.0 * _SQRT3 * PSD_TOL
 
 
 class BlochRegionError(ValueError):
@@ -254,9 +254,9 @@ def density_from_bloch(n: np.ndarray) -> np.ndarray:
     Accepts shape (8,) or (..., 8) and returns (3, 3) or (..., 3, 3); a
     vector gives the same bits alone or in a stack. The 3/2 weight makes
     this the exact inverse of :func:`bloch_from_density`. Raises ValueError
-    for a non-finite component and :class:`BlochRegionError` if a component
-    exceeds 2/sqrt(3) or a reconstructed eigenvalue is below -1e-10, i.e. the
-    vector lies outside the physical region (a proper subset of the 4/3-ball).
+    for a non-finite component and :class:`BlochRegionError` if a reconstructed
+    eigenvalue is below -1e-10 (a component past what that admits is refused
+    first), i.e. the vector lies outside the physical region (in the 4/3-ball).
     """
     n = np.asarray(n, dtype=float)
     if n.shape[-1:] != (8,):

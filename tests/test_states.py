@@ -285,6 +285,15 @@ def test_density_from_bloch_refuses_huge_vector(shape):
         density_from_bloch(np.full(shape, 1e308))
 
 
+@pytest.mark.parametrize("scale", [1 + 1e-11, 1 + 2.9e-10])
+def test_density_from_bloch_component_guard_defers_to_eigenvalue_check(scale):
+    # |3> scaled past 2/sqrt(3) has rho_11 = -(scale - 1)/3, within PSD_TOL: admitted.
+    n = bloch_from_amplitudes(cardinal_state("three")[1])
+    assert density_from_bloch(n * scale)[0, 0].real < 0
+    with pytest.raises(BlochRegionError):  # rho_11 below -PSD_TOL
+        density_from_bloch(n * (1 + 3.1e-10))
+
+
 @pytest.mark.parametrize("label", CARDINAL_EXPECTED)
 def test_cardinal_bloch_vectors_roundtrip(label):
     # |3> has n8 = -2/sqrt(3), one ulp above sqrt(4/3) in magnitude: still admitted.
