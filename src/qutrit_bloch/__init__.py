@@ -7,49 +7,48 @@ the resonant splitting into separately conserved four-sphere and two-sphere
 sectors.
 """
 
+import importlib.util
+import sys
+
 from .config import ConfigError, RunConfig, parse_run_config, render_run_config
-from .dynamics import (
-    Configuration,
-    SimParams,
-    SplitReport,
-    Trajectory,
-    adjoint_generator,
-    bloch_trajectory,
-    integrate_bloch_ode,
-    lambda_closed_form,
-    propagate_exact,
-    rabi_frequency,
-    resonance_split_check,
-    rk4_error_estimate,
-    rotating_hamiltonian,
-    sector_index_sets,
-    sector_initial_norms,
-)
 from .figures import FIGURE_NAMES, load_figure, parameter_sets
-from .states import (
-    BLOCH_NORM_SQ,
-    AngleParams,
-    BlochRegionError,
-    CARDINAL_LABELS,
-    bloch_from_amplitudes,
-    bloch_from_density,
-    bloch_geometric,
-    cardinal_state,
-    density_from_bloch,
-    density_from_state,
-    purity,
-    state_from_angles,
-)
-from .su3 import (
-    ConsistencyError,
-    StructureConstants,
-    commutator,
-    derive_structure_constants,
-    gellmann,
-    gellmann_basis,
-    shift_operator,
-    structure_constants,
-)
+from .model import BLOCH_NORM_SQ, CARDINAL_LABELS, Configuration, SimParams, sector_index_sets
+
+
+def _lazy(name: str):
+    """Submodule ``name``, registered now and executed on its first attribute use.
+
+    ``su3``, ``states`` and ``dynamics`` import numpy. Registered this way they
+    are attributes of the package and entries of ``sys.modules`` from the
+    start, as an eager import made them, while ``simulate`` never runs them.
+    """
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+su3, states, dynamics = _lazy("su3"), _lazy("states"), _lazy("dynamics")
+
+
+def __getattr__(name: str):
+    # Only a public name runs the numpy modules; each lists its own in
+    # __all__. Looked up in import order, a name runs its home module and
+    # the ones that imports, no others.
+    if name in __all__:
+        for module in (su3, states, dynamics):
+            if name in module.__all__:
+                value = getattr(module, name)
+                globals()[name] = value  # later reads skip this function
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "0.1.0"
 

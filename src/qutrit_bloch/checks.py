@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config, dynamics, figures, states, su3
+from .model import F_REFERENCE
 
 __all__ = [
     "CheckResult",
@@ -92,14 +93,8 @@ class SuiteReport:
         self.notes.extend(other.notes)
 
 
-# Canonical nonzero structure constants (one-based indices).
-F_REFERENCE = {
-    (1, 2, 3): 1.0,
-    (1, 4, 7): 0.5, (1, 5, 6): -0.5,
-    (2, 4, 6): 0.5, (2, 5, 7): 0.5,
-    (3, 4, 5): 0.5, (3, 6, 7): -0.5,
-    (4, 5, 8): math.sqrt(3.0) / 2.0, (6, 7, 8): math.sqrt(3.0) / 2.0,
-}
+# Canonical nonzero structure constants (one-based indices); F_REFERENCE,
+# the antisymmetric ones, lives in ``model``, which builds M from it.
 D_REFERENCE = {
     (1, 1, 8): 1.0 / math.sqrt(3.0), (2, 2, 8): 1.0 / math.sqrt(3.0),
     (3, 3, 8): 1.0 / math.sqrt(3.0), (8, 8, 8): -1.0 / math.sqrt(3.0),
@@ -447,6 +442,7 @@ _SUITES = {
 }
 
 #: The ``verify`` scopes: one suite by name, or all of them in this order.
+#: The command line's parser takes them from ``model.VERIFY_SCOPES``.
 SCOPES = (*_SUITES, "all")
 
 

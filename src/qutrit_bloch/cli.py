@@ -11,10 +11,15 @@ atomicity covers regular files only: POSIX ``rename(2)`` replaces a directory
 entry, so a symlink is followed and its target replaced, and another existing
 non-regular target (a FIFO, a device) is opened and written in place.
 
-A table of more than ``BLOCK_ROWS`` rows is cut into an even number of
-near-equal blocks; this process formats the even blocks and one forked helper
-the odd ones, which it sends back through a pipe, so the file holds the same
-bytes as from one process. There is no option for this.
+``simulate`` imports no numpy: each table row comes from
+``model.row_formula`` in plain floats. A table of more than ``BLOCK_ROWS``
+rows is cut into an even number of near-equal blocks; this process computes,
+checks and formats the even blocks and one forked helper the odd ones. The
+helper reports whether its rows are finite and their largest norm drift
+before it sends any text, so exit 3 is decided on the whole table before the
+output is opened; then it sends its blocks back through a pipe, and the file
+holds the same bytes as from one process. There is no option for this.
+``verify`` and ``cardinal`` import numpy when they run.
 """
 
 from __future__ import annotations
@@ -23,17 +28,16 @@ import argparse
 import contextlib
 import errno
 import json
+import math
 import os
 import stat
+import struct
 import sys
+from array import array
 from pathlib import Path
 
-import numpy as np
-
-from . import checks, config, figures, su3
+from . import config, figures, model
 from .config import ConfigError, RunConfig, parse_run_config, run_config_dict, simulation_grid
-from .dynamics import Trajectory, bloch_trajectory
-from .states import BLOCH_NORM_SQ, CARDINAL_LABELS, bloch_from_amplitudes, cardinal_state
 
 __all__ = ["main", "run_cardinal", "run_simulate", "run_verify", "simulation_grid"]
 
@@ -45,8 +49,8 @@ CSV_HEADER = (
 #: Norm-conservation breach that aborts a run with exit code 3.
 RUNTIME_NORM_TOL = 1e-6
 
-#: Most rows the writers format with one ``%`` at a time; bounds their memory.
-#: A table of at most this many rows is formatted without the helper process.
+#: Most rows one block holds: the rows computed, checked and formatted with
+#: one ``%`` at a time. A table of at most this many rows uses no helper process.
 BLOCK_ROWS = 4096
 
 _FIELDS = CSV_HEADER.split(",")
@@ -54,38 +58,95 @@ _FIELDS = CSV_HEADER.split(",")
 #: round-trip repr, as ``json.dump`` writes a float (finite values only).
 _CSV_ROW = ",".join(["%.17g"] * len(_FIELDS)) + "\n"
 _JSON_ROW = "{\n" + ",\n".join(f'   "{name}": %r' for name in _FIELDS) + "\n  }"
+_JSON_SEP = ",\n  "
+
+_NON_FINITE = "error: the trajectory has non-finite values; aborting without output"
+#: A block's check as the helper sends it: finite, then the largest drift.
+_STATUS = struct.Struct(">?d")
+#: One row's values as machine doubles, the layout of ``array("d")``.
+_VALUES = struct.Struct(f"{len(_FIELDS)}d")
 
 
-def _records(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    norm2 = np.einsum("ij,ij->i", traj.bloch, traj.bloch)
-    table = np.column_stack(
-        [traj.times, traj.bloch, traj.bloch_dot, traj.sector4, traj.sector2, norm2]
-    )
-    return table, norm2
+def _row_values(cfg: RunConfig):
+    """``values(start, stop)``: rows start..stop-1 of ``cfg``'s table, flat, row i at i * dt.
+
+    Raises ArithmeticError when the Hamiltonian, its eigenpairs or M are not finite.
+    """
+    row, dt, pack = model.row_formula(cfg.params), cfg.dt, _VALUES.pack
+
+    def values(start: int, stop: int) -> array:
+        # Packed row by row: array.extend would cost a third of the row formula.
+        return array("d", b"".join([pack(*row(i * dt)) for i in range(start, stop)]))
+
+    return values
 
 
-def _format_block(block: np.ndarray, row: str, sep: str) -> str:
-    return sep.join([row] * len(block)) % tuple(block.ravel().tolist())
+def _checked(values, start: int, stop: int):
+    """``(block, finite, drift)``: ``values(start, stop)``, whether every value
+    is finite, and the largest |norm2 - 4/3| (nan unless finite)."""
+    try:
+        block = values(start, stop)
+    except ValueError:  # math.cos/sin of an overflowed phase, where numpy gives nan
+        return None, False, math.nan
+    # A sum of finite values can only overflow; then every value is looked at.
+    if not math.isfinite(sum(block)) and not all(map(math.isfinite, block)):
+        return None, False, math.nan
+    norm2 = block[len(_FIELDS) - 1::len(_FIELDS)]
+    return block, True, max(max(norm2) - model.BLOCH_NORM_SQ, model.BLOCH_NORM_SQ - min(norm2))
 
 
-def _receive_block(pipe) -> str:
-    """Read one block the helper sent: an 8-byte length, then the text."""
-    head = pipe.read(8)
-    if len(head) == 8:
-        size = int.from_bytes(head, "big")
-        data = pipe.read(size)
-        if len(data) == size:
-            return data.decode()
-    raise OSError(errno.EIO, "the formatting helper stopped early")
+def _format_block(block, row: str, sep: str) -> str:
+    """``row % values`` for every row of a flat block of values, joined by ``sep``."""
+    return sep.join([row] * (len(block) // len(_FIELDS))) % tuple(block)
+
+
+def _read_exactly(pipe, size: int) -> bytes:
+    """The next ``size`` bytes from the helper; ``OSError`` if it stopped before sending them."""
+    data = pipe.read(size)
+    if len(data) != size:
+        raise OSError(errno.EIO, "the formatting helper stopped early")
+    return data
+
+
+class _Helper:
+    """The parent's end of the helper's pipe: one status, then the blocks in order."""
+
+    def __init__(self, pipe, blocks: int):
+        self.pipe, self.pending = pipe, blocks
+
+    def status(self) -> tuple[bool, float]:
+        """Whether the helper's rows are finite, and their largest drift."""
+        return _STATUS.unpack(_read_exactly(self.pipe, _STATUS.size))
+
+    def receive(self) -> str:
+        """The next block's text: an 8-byte length, then the text."""
+        size = int.from_bytes(_read_exactly(self.pipe, 8), "big")
+        self.pending -= 1
+        return _read_exactly(self.pipe, size).decode()
+
+
+def _helper_main(wfd: int, values, bounds, row: str, sep: str) -> None:
+    """The helper: compute and check its blocks, send the status, then the texts."""
+    with open(wfd, "wb") as pipe:
+        checked = [_checked(values, *b) for b in bounds]
+        finite = all(c[1] for c in checked)
+        pipe.write(_STATUS.pack(finite, max(c[2] for c in checked) if finite else math.nan))
+        pipe.flush()
+        if finite:
+            for i, (block, _, _) in enumerate(checked):
+                checked[i] = None  # each block's values are freed once formatted
+                data = _format_block(block, row, sep).encode()
+                pipe.write(len(data).to_bytes(8, "big"))
+                pipe.write(data)
 
 
 @contextlib.contextmanager
-def _format_helper(blocks: list[np.ndarray], row: str, sep: str):
-    """Fork one process that formats ``blocks`` in order into a pipe.
+def _format_helper(values, bounds, row: str, sep: str):
+    """Fork one process that computes, checks and formats the blocks ``bounds``.
 
-    Yields a function that returns the next block's text, or None when the
-    fork fails and the caller must format every block itself. A short read,
-    or a helper that exits with a failing status, raises ``OSError``.
+    Yields a :class:`_Helper`, or None when the fork fails and the caller
+    must do every block itself. A short read raises ``OSError``, and so does
+    a helper that exits with a failing status after sending every block.
     """
     rfd, wfd = os.pipe()
     try:
@@ -98,62 +159,114 @@ def _format_helper(blocks: list[np.ndarray], row: str, sep: str):
         yield None
         return
     if pid == 0:
-        # The helper only formats and writes; it never returns into the caller.
+        # The helper never returns into the caller.
         code = 1
         try:
             os.close(rfd)
-            with open(wfd, "wb") as pipe:
-                for block in blocks:
-                    data = _format_block(block, row, sep).encode()
-                    pipe.write(len(data).to_bytes(8, "big"))
-                    pipe.write(data)
+            _helper_main(wfd, values, bounds, row, sep)
             code = 0
         finally:
             os._exit(code)
     os.close(wfd)
-    pipe = open(rfd, "rb")
+    helper = _Helper(open(rfd, "rb"), len(bounds))
     try:
-        yield lambda: _receive_block(pipe)
+        yield helper
     finally:
         # Close before the wait: a helper blocked on a full pipe gets EPIPE.
-        pipe.close()
+        helper.pipe.close()
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code:
+    # A caller that stops early (exit 3) does not need the helper to succeed.
+    if code and not helper.pending:
         raise OSError(errno.EIO, f"the formatting helper exited with status {code}")
 
 
-def _write_rows(fh, table: np.ndarray, row: str, sep: str) -> None:
-    """Write ``row % values`` for every table row, joined by ``sep``.
+class _Table:
+    """A checked table as the writers take it: its blocks in order.
 
-    A table above ``BLOCK_ROWS`` rows is written as an even number of blocks;
-    a forked helper formats the odd ones while this process formats the even
-    ones, and every block is written in order.
+    A block this process computed is the flat ``array("d")`` of its rows'
+    values, and ``table[i, j]`` reads or sets value j of row i in it. A
+    block the helper computed is None here; its text comes through the pipe
+    when :meth:`write` reaches it.
     """
-    n = len(table)
-    count = 1 if n <= BLOCK_ROWS else 2 * -(-n // (2 * BLOCK_ROWS))
-    blocks = [table[n * i // count:n * (i + 1) // count] for i in range(count)]
-    helper = _format_helper(blocks[1::2], row, sep) if count > 1 else contextlib.nullcontext()
-    with helper as receive:
-        for i, block in enumerate(blocks):
-            if i:
-                fh.write(sep)
-            fh.write(receive() if receive and i % 2 else _format_block(block, row, sep))
+
+    def __init__(self, bounds, blocks, helper, row: str, sep: str):
+        self.bounds, self.blocks, self.helper, self.row, self.sep = bounds, blocks, helper, row, sep
+
+    def _locate(self, key) -> tuple[array, int]:
+        i, j = key
+        for (start, stop), block in zip(self.bounds, self.blocks):
+            if start <= i < stop and block is not None and 0 <= j < len(_FIELDS):
+                return block, (i - start) * len(_FIELDS) + j
+        raise IndexError(f"no value ({i}, {j}) in this process's blocks")
+
+    def __getitem__(self, key) -> float:
+        block, k = self._locate(key)
+        return block[k]
+
+    def __setitem__(self, key, value: float) -> None:
+        block, k = self._locate(key)
+        block[k] = value
+
+    def copy(self) -> _Table:
+        """A table with copies of this process's blocks and the same helper."""
+        blocks = [None if b is None else array("d", b) for b in self.blocks]
+        return _Table(self.bounds, blocks, self.helper, self.row, self.sep)
+
+    def write(self, fh) -> None:
+        """Write every block's text in order, each ``row % values`` per row, joined by ``sep``."""
+        for k, block in enumerate(self.blocks):
+            self.blocks[k] = None  # each block's values are freed once formatted
+            if k:
+                fh.write(self.sep)
+            if block is None:
+                fh.write(self.helper.receive())
+            else:
+                fh.write(_format_block(block, self.row, self.sep))
 
 
-def _write_csv(path: Path, table: np.ndarray) -> None:
+@contextlib.contextmanager
+def _table_blocks(rows: int, values, row: str, sep: str):
+    """Compute and check a table of ``rows`` rows in blocks.
+
+    ``values(start, stop)`` gives rows start..stop-1 as one flat sequence of
+    floats. Yields ``(finite, drift, table)`` for the whole table: whether
+    every value is finite, the largest |norm2 - 4/3| (nan unless finite),
+    and the :class:`_Table` that writes it with ``row`` per row and ``sep``
+    between rows. Above ``BLOCK_ROWS`` rows the table is cut into an even
+    number of blocks and a forked helper does the odd ones; no text is
+    formatted before both processes have checked their rows.
+    """
+    count = 1 if rows <= BLOCK_ROWS else 2 * -(-rows // (2 * BLOCK_ROWS))
+    bounds = [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
+    split = contextlib.nullcontext()
+    if count > 1:
+        split = _format_helper(values, bounds[1::2], row, sep)
+    with split as helper:
+        checked = [_checked(values, *b) for b in (bounds if helper is None else bounds[0::2])]
+        status = [c[1:] for c in checked] + ([helper.status()] if helper is not None else [])
+        finite = all(ok for ok, _ in status)
+        drift = max(d for _, d in status) if finite else math.nan
+        blocks = [block for block, _, _ in checked]
+        if helper is not None:
+            blocks = [None if i % 2 else blocks[i // 2] for i in range(count)]
+        del checked  # the table holds the only reference to each block
+        yield finite, drift, _Table(bounds, blocks, helper, row, sep)
+
+
+def _write_csv(path: Path, table: _Table) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        _write_rows(fh, table, _CSV_ROW, "")
+        table.write(fh)
 
 
-def _write_json(path: Path, cfg: RunConfig, table: np.ndarray) -> None:
+def _write_json(path: Path, cfg: RunConfig, table: _Table) -> None:
     """The layout of ``json.dump({"meta": ..., "rows": [{field: value}, ...]}, indent=1)``."""
     # json lays out the frame; the rows go where the one placeholder row sits.
     frame = json.dumps({"meta": run_config_dict(cfg), "rows": [None]}, indent=1)
     head, tail = frame.rsplit("null", 1)
     with open(path, "w", newline="\n") as fh:
         fh.write(head)
-        _write_rows(fh, table, _JSON_ROW, ",\n  ")
+        table.write(fh)
         fh.write(tail + "\n")
 
 
@@ -183,35 +296,33 @@ def _output_paths(out: Path) -> tuple[Path, Path]:
 def run_simulate(cfg: RunConfig) -> int:
     """Run one trajectory and write it out; see module docstring for codes."""
     out = target = path = cfg.output_path
+    rows = config.grid_rows(cfg.t_max, cfg.dt)
     try:
         # Refuse an output that cannot be created before any work is done.
         target, path = _output_paths(out)
-        times = simulation_grid(cfg)
-        # A huge but finite input overflows to inf/nan here; the check below
-        # reports that as one error line instead of numpy warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                table, norm2 = _records(bloch_trajectory(cfg.params, times))
-            except su3.ConsistencyError:  # H's Gell-Mann expansion overflowed to NaN
-                table = np.array(np.nan)
-        if not np.isfinite(table).all():
-            print("error: the trajectory has non-finite values; aborting without output",
-                  file=sys.stderr)
+        try:
+            values = _row_values(cfg)
+        except ArithmeticError:  # a huge but finite input overflowed H, its eigenpairs or M
+            print(_NON_FINITE, file=sys.stderr)
             return 3
-        drift = np.abs(norm2 - BLOCH_NORM_SQ).max()
-        if drift > RUNTIME_NORM_TOL:
-            print(
-                f"error: Bloch norm drifted by {drift:.3e} (tolerance {RUNTIME_NORM_TOL:g});"
-                " aborting without output",
-                file=sys.stderr,
-            )
-            return 3
-        # A regular target is written beside and renamed over, so a failed write
-        # never leaves a partial file at the output path.
-        if cfg.output_format == "csv":
-            _write_csv(path, table)
-        else:
-            _write_json(path, cfg, table)
+        row, sep = (_CSV_ROW, "") if cfg.output_format == "csv" else (_JSON_ROW, _JSON_SEP)
+        with _table_blocks(rows, values, row, sep) as (finite, drift, table):
+            if not finite:
+                print(_NON_FINITE, file=sys.stderr)
+                return 3
+            if drift > RUNTIME_NORM_TOL:
+                print(
+                    f"error: Bloch norm drifted by {drift:.3e} (tolerance {RUNTIME_NORM_TOL:g});"
+                    " aborting without output",
+                    file=sys.stderr,
+                )
+                return 3
+            # A regular target is written beside and renamed over, so a failed
+            # write never leaves a partial file at the output path.
+            if cfg.output_format == "csv":
+                _write_csv(path, table)
+            else:
+                _write_json(path, cfg, table)
         if path != target:
             os.replace(path, target)
     except OSError as exc:
@@ -223,12 +334,14 @@ def run_simulate(cfg: RunConfig) -> int:
         if path != target:
             with contextlib.suppress(OSError):
                 path.unlink()
-    print(f"wrote {table.shape[0]} records to {out}")
+    print(f"wrote {rows} records to {out}")
     return 0
 
 
 def run_verify(scope: str = "all") -> int:
     """Run the named invariant suite(s); exit 0 only if every check passes."""
+    from . import checks
+
     report = checks.run_suites(scope)
     for result in report.results:
         print(result.line())
@@ -241,6 +354,8 @@ def run_verify(scope: str = "all") -> int:
 
 def run_cardinal(label: str) -> int:
     """Print angles, amplitudes, and Bloch vector of a cardinal state."""
+    from .states import bloch_from_amplitudes, cardinal_state
+
     angles, amps = cardinal_state(label)
     bloch = bloch_from_amplitudes(amps)
     print(f"cardinal state {label!r}")
@@ -289,8 +404,22 @@ def _load_simulate_config(args: argparse.Namespace) -> RunConfig:
     return parse_run_config(text, overrides)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with a refused choice echoed through ``config._echo``.
+
+    The usage and ``invalid choice`` lines are argparse's; only a long value
+    is cut. Subparsers take this class too.
+    """
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {config._echo(value)} (choose from {choices})")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qutrit-bloch",
         description="SU(3) Bloch vectors of three-level systems: "
         "simulation, invariant verification, cardinal states.",
@@ -315,12 +444,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     ver = sub.add_parser("verify", help="run invariant suites")
-    ver.add_argument(
-        "scope", nargs="?", default="all", choices=checks.SCOPES,
-    )
+    ver.add_argument("scope", nargs="?", default="all", choices=model.VERIFY_SCOPES)
 
     card = sub.add_parser("cardinal", help="print a cardinal state and its Bloch vector")
-    card.add_argument("label", choices=CARDINAL_LABELS)
+    card.add_argument("label", choices=model.CARDINAL_LABELS)
     return parser
 
 

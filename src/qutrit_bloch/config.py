@@ -21,7 +21,7 @@ comments. Recognized keys:
 Unknown keys are rejected. Keys match exactly; the values of config,
 convention, emit and format match in any case and with surrounding spaces,
 and are kept in their lower-case spelling. The initial amplitudes must arrive
-normalized, |c0|^2 within 1e-12 of 1 (``states.validate_pure_state``); they
+normalized, |c0|^2 within 1e-12 of 1 (``model.check_normalized``); they
 are never renormalized silently. An output path the OS cannot take (a NUL
 byte, an unencodable character) is refused here; any other output the OS
 refuses to create is refused by ``cli.run_simulate`` before any work.
@@ -34,9 +34,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .dynamics import _EQUAL_POPULATIONS, COUPLING_CONVENTIONS, Configuration, SimParams
+from .model import _EQUAL_POPULATIONS, COUPLING_CONVENTIONS, Configuration, SimParams
 
 __all__ = [
     "ConfigError",
@@ -102,8 +100,14 @@ def grid_rows(t_max: float, dt: float) -> int:
     return math.floor(steps) + 1
 
 
-def simulation_grid(cfg: RunConfig) -> np.ndarray:
-    """Uniform grid 0, dt, 2 dt, ... up to (and including) t_max."""
+def simulation_grid(cfg: RunConfig):
+    """Uniform grid 0, dt, 2 dt, ... up to (and including) t_max, as a numpy array.
+
+    Row i is at ``i * dt``, the time ``simulate`` gives row i; numpy is
+    imported here, for the callers that want the grid as an array.
+    """
+    import numpy as np
+
     return np.arange(grid_rows(cfg.t_max, cfg.dt)) * cfg.dt
 
 

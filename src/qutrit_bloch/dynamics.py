@@ -25,12 +25,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .states import bloch_from_amplitudes, validate_pure_state
-from .su3 import _readonly, _real_part, gellmann_coefficients, structure_constants
+from . import model
+from .model import (
+    COUPLING_CONVENTIONS,
+    Configuration,
+    SimParams,
+    sector_index_sets,
+)
+from .states import bloch_from_amplitudes
+from .su3 import _readonly, _real_part
 
 __all__ = [
     "COUPLING_CONVENTIONS",
@@ -54,91 +60,13 @@ __all__ = [
 #: Residue ceiling for the closed-form sector norm polynomials.
 SECTOR_IMAG_TOL = 1e-10
 
-_SQRT3 = math.sqrt(3.0)
-
-
-class Configuration(Enum):
-    """Coupling topology of the driven three-level system."""
-
-    LAMBDA = "lambda"
-    VEE = "vee"
-    XI = "xi"
-
-
-_EQUAL_POPULATIONS = (
-    complex(1.0 / _SQRT3), complex(1.0 / _SQRT3), complex(1.0 / _SQRT3),
-)
-
-#: Coupling conventions: off-diagonals carry kappa/2 (``half``) or kappa (``full``).
-COUPLING_CONVENTIONS = ("half", "full")
-
-
-@dataclass(frozen=True)
-class SimParams:
-    """Inputs of one rotating-frame simulation at equal detuning.
-
-    ``kappa_a`` and ``kappa_b`` are the two drive couplings; their physical
-    names depend on the configuration (README, "Run configuration format").
-    ``delta`` is the shared detuning. ``coupling_convention`` selects whether
-    the Hamiltonian off-diagonals carry kappa/2 (``half``, the default) or
-    bare kappa (``full``).
-    """
-
-    config: Configuration
-    kappa_a: float
-    kappa_b: float
-    delta: float
-    c0: tuple[complex, complex, complex] = _EQUAL_POPULATIONS
-    coupling_convention: str = "half"
-
-    def __post_init__(self) -> None:
-        for name in ("kappa_a", "kappa_b"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {v}")
-        if not math.isfinite(self.delta):
-            raise ValueError(f"delta must be finite, got {self.delta}")
-        if self.coupling_convention not in COUPLING_CONVENTIONS:
-            raise ValueError(
-                f"coupling_convention must be one of {', '.join(COUPLING_CONVENTIONS)},"
-                f" got {self.coupling_convention!r}"
-            )
-        c0 = validate_pure_state(np.array(self.c0, dtype=complex))
-        object.__setattr__(self, "c0", tuple(complex(x) for x in c0))
-
-    @property
-    def c0_array(self) -> np.ndarray:
-        return np.array(self.c0, dtype=complex)
-
-    @property
-    def coupling_gain(self) -> float:
-        return 0.5 if self.coupling_convention == "half" else 1.0
-
 
 def rotating_hamiltonian(p: SimParams) -> np.ndarray:
-    """Real symmetric rotating-frame Hamiltonian at equal detuning.
+    """Real symmetric rotating-frame Hamiltonian at equal detuning, (3, 3).
 
-    With g the coupling gain (1/2 or 1):
-
-        Lambda: diag(2D/3, -D/3, -D/3),  H12 = g kappa23,  H13 = g kappa13
-        Vee:    diag(D/3, D/3, -2D/3),   H13 = g kappa13,  H23 = g kappa12
-        Xi:     diag(D, 0, -D),          H12 = g kappa23,  H23 = g kappa12
+    The entries are :func:`model.hamiltonian`'s.
     """
-    g, d = p.coupling_gain, p.delta
-    h = np.zeros((3, 3))
-    if p.config is Configuration.LAMBDA:
-        h[0, 0], h[1, 1], h[2, 2] = 2.0 * d / 3.0, -d / 3.0, -d / 3.0
-        h[0, 1] = h[1, 0] = g * p.kappa_b
-        h[0, 2] = h[2, 0] = g * p.kappa_a
-    elif p.config is Configuration.VEE:
-        h[0, 0], h[1, 1], h[2, 2] = d / 3.0, d / 3.0, -2.0 * d / 3.0
-        h[0, 2] = h[2, 0] = g * p.kappa_a
-        h[1, 2] = h[2, 1] = g * p.kappa_b
-    else:
-        h[0, 0], h[2, 2] = d, -d
-        h[0, 1] = h[1, 0] = g * p.kappa_b
-        h[1, 2] = h[2, 1] = g * p.kappa_a
-    return h
+    return np.array(model.hamiltonian(p))
 
 
 def rabi_frequency(p: SimParams) -> float:
@@ -217,34 +145,16 @@ def lambda_closed_form(p: SimParams, t) -> np.ndarray:
 
 
 def adjoint_generator(p: SimParams) -> np.ndarray:
-    """Build M_kl = 2 sum_j h_j f_jlk from the rotating Hamiltonian, read-only.
+    """M_kl = 2 sum_j h_j f_jlk of the rotating Hamiltonian, (8, 8) and read-only.
 
-    The h_j are the Gell-Mann expansion coefficients of H (the identity
-    component h_0 drops out of the commutator). Because the f table is
-    totally antisymmetric by construction, M comes out exactly antisymmetric,
-    so the integrated Bloch norm is conserved by the flow it generates.
+    The 28 nonzero entries are :func:`model.generator_entries`'. Because the
+    f table is totally antisymmetric, M comes out exactly antisymmetric, so
+    the integrated Bloch norm is conserved by the flow it generates.
     """
-    h = gellmann_coefficients(rotating_hamiltonian(p))
-    f = structure_constants().f
-    return _readonly(2.0 * np.einsum("j,jlk->kl", h[1:], f))
-
-
-#: One-based Bloch component indices of the two invariant sectors at
-#: resonance: (four-sphere sector, two-sphere sector).
-_SECTOR_SETS: dict[Configuration, tuple[tuple[int, ...], tuple[int, ...]]] = {
-    Configuration.LAMBDA: ((2, 3, 5, 6, 8), (1, 4, 7)),
-    Configuration.VEE: ((1, 3, 5, 7, 8), (2, 4, 6)),
-    Configuration.XI: ((2, 3, 4, 7, 8), (1, 5, 6)),
-}
-
-
-def sector_index_sets(config: Configuration) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """One-based component indices (four-sphere sector, two-sphere sector).
-
-    The sets are exactly the connected blocks of the adjoint generator at
-    zero detuning; together they partition 1..8.
-    """
-    return _SECTOR_SETS[config]
+    m = np.zeros((8, 8))
+    for (k, l), value in model.generator_entries(model.hamiltonian(p)).items():
+        m[k - 1, l - 1] = value
+    return _readonly(m)
 
 
 def _sector_norms(bloch: np.ndarray, config: Configuration) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .config import RunConfig, _echo, parse_run_config
-from .dynamics import SimParams
+from .model import SimParams
 
 __all__ = ["FIGURE_NAMES", "figure_config_text", "load_figure", "parameter_sets"]
 

@@ -24,7 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .su3 import ATOL_EXACT, ATOL_NUMERIC, _gellmann_traces, _real_part, gellmann_basis
+from .model import (
+    ATOL_EXACT,
+    ATOL_NUMERIC,
+    BLOCH_NORM_SQ,
+    CARDINAL_ANGLES,
+    CARDINAL_LABELS,
+    check_normalized,
+)
+from .su3 import _gellmann_traces, _real_part, gellmann_basis
 
 __all__ = [
     "BLOCH_NORM_SQ",
@@ -42,9 +50,6 @@ __all__ = [
     "validate_density",
     "validate_pure_state",
 ]
-
-#: Squared Bloch norm of every pure qutrit state.
-BLOCH_NORM_SQ = 4.0 / 3.0
 
 #: Eigenvalues of a reconstructed density matrix may undershoot zero by this much.
 PSD_TOL = 1e-10
@@ -101,23 +106,6 @@ def state_from_angles(a: AngleParams) -> np.ndarray:
     )
 
 
-#: Angle tuples (theta1, theta2) of the cardinal states and their equal-weight
-#: superpositions, with both azimuthal phases fixed to zero. ``superpose13``
-#: uses (pi/2, 0), the unique polar tuple that yields the 1-3 superposition
-#: under the parametrization above.
-CARDINAL_ANGLES: dict[str, tuple[float, float]] = {
-    "one": (0.0, 0.0),
-    "two": (math.pi, math.pi),
-    "three": (math.pi, 0.0),
-    "superpose12": (math.pi / 2.0, math.pi),
-    "superpose23": (math.pi, math.pi / 2.0),
-    "superpose13": (math.pi / 2.0, 0.0),
-    "superposeAll": (math.pi / 2.0, math.pi / 3.0),
-}
-
-CARDINAL_LABELS = tuple(CARDINAL_ANGLES)
-
-
 def cardinal_state(label: str) -> tuple[AngleParams, np.ndarray]:
     """Return (angles, amplitudes) for a named cardinal or superposition state."""
     try:
@@ -131,13 +119,14 @@ def cardinal_state(label: str) -> tuple[AngleParams, np.ndarray]:
 
 
 def validate_pure_state(c: np.ndarray) -> np.ndarray:
-    """Check that |c|^2 is within 1e-12 of 1 (NaN is not) and return c as an array."""
+    """Check that |c|^2 is within 1e-12 of 1 (NaN is not) and return c as an array.
+
+    The norm check is :func:`model.check_normalized`, the one ``SimParams`` runs.
+    """
     c = np.asarray(c, dtype=complex)
     if c.shape != (3,):
         raise ValueError(f"amplitude triple must have shape (3,), got {c.shape}")
-    norm_sq = float(np.vdot(c, c).real)
-    if not abs(norm_sq - 1.0) <= ATOL_NUMERIC:  # also refuses nan
-        raise ValueError(f"state not normalized: |c|^2 = {norm_sq!r}")
+    check_normalized(c.tolist())
     return c
 
 

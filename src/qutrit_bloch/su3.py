@@ -13,6 +13,8 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
+from .model import ATOL_EXACT, ATOL_NUMERIC, PERMUTATION_SIGN
+
 __all__ = [
     "ATOL_EXACT",
     "ATOL_NUMERIC",
@@ -28,17 +30,6 @@ __all__ = [
     "shift_operator",
     "structure_constants",
 ]
-
-#: Tolerance for identities that are exact in exact arithmetic.
-ATOL_EXACT = 1e-14
-#: Tolerance for identities reached through compounded floating arithmetic.
-ATOL_NUMERIC = 1e-12
-
-#: Sign of each permutation of (0, 1, 2): +1 if even, -1 if odd.
-PERMUTATION_SIGN = {
-    (0, 1, 2): 1.0, (0, 2, 1): -1.0, (1, 0, 2): -1.0,
-    (1, 2, 0): 1.0, (2, 0, 1): 1.0, (2, 1, 0): -1.0,
-}
 
 _SQRT3 = np.sqrt(3.0)
 

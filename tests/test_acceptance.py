@@ -23,9 +23,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from qutrit_bloch import checks, figures
-from qutrit_bloch.dynamics import bloch_trajectory, sector_initial_norms
+from qutrit_bloch import checks, figures, model
+from qutrit_bloch.dynamics import (
+    bloch_trajectory,
+    rotating_hamiltonian,
+    sector_index_sets,
+    sector_initial_norms,
+)
 from qutrit_bloch.states import BLOCH_NORM_SQ
+from qutrit_bloch.su3 import gellmann_coefficients, structure_constants
 
 SETS = figures.parameter_sets()
 
@@ -129,14 +135,38 @@ def cli_runs(tmp_path_factory):
         return dict(zip(figures.FIGURE_NAMES, pool.map(run, figures.FIGURE_NAMES)))
 
 
-def test_criterion_11_cli_reproduction(cli_runs):
+@pytest.fixture(scope="module")
+def cli_tables(cli_runs):
+    """Each figure's CSV as written by the CLI, parsed once."""
+    return {name: np.loadtxt(out, delimiter=",", skiprows=1)
+            for name, (proc, _, out) in cli_runs.items() if proc.returncode == 0}
+
+
+def reference_table(p, times):
+    """The 20 table columns from ``bloch_trajectory`` and a dense M.
+
+    An oracle independent of the plain-float row formula ``simulate`` uses:
+    LAPACK's eigh, complex arithmetic, M from the einsum of the Gell-Mann
+    coefficients with the derived f table, and numpy sums.
+    """
+    bloch = bloch_trajectory(p, times).bloch
+    h = gellmann_coefficients(rotating_hamiltonian(p))[1:]
+    m = 2.0 * np.einsum("j,jlk->kl", h, structure_constants().f)
+    set4, set2 = (np.array(s) - 1 for s in sector_index_sets(p.config))
+    return np.column_stack([
+        times, bloch, bloch @ m.T, (bloch[:, set4] ** 2).sum(axis=1),
+        (bloch[:, set2] ** 2).sum(axis=1), np.einsum("ij,ij->i", bloch, bloch),
+    ])
+
+
+def test_criterion_11_cli_reproduction(cli_runs, cli_tables):
     worst_norm, worst_sector, slowest = 0.0, 0.0, 0.0
     for name, (proc, elapsed, out) in cli_runs.items():
         assert proc.returncode == 0, f"{name}: {proc.stderr}"
         assert proc.stderr == "", f"{name}: {proc.stderr}"  # no numpy warning either
         assert elapsed < 5.0, f"{name} took {elapsed:.2f}s"
         slowest = max(slowest, elapsed)
-        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        table = cli_tables[name]
         assert table.shape == (10001, 20), name
         worst_norm = max(worst_norm, float(np.abs(table[:, -1] - BLOCH_NORM_SQ).max()))
         cfg = figures.load_figure(name)
@@ -169,10 +199,25 @@ def test_criterion_11_json_format_matches(cli_runs, tmp_path):
     obj = json.loads(out.read_text())
     assert obj["meta"]["emit"] == "timeseries"
     p = figures.load_figure("fig1a").params
-    times = np.arange(0, 201) * 0.01
-    expected = bloch_trajectory(p, times)
-    got = np.array([[row[f"n{k}"] for k in range(1, 9)] for row in obj["rows"]])
-    assert np.array_equal(got, expected.bloch)
+    # The row formula itself, one float at a time: the same bits on any host.
+    formula = model.row_formula(p)
+    expected = np.array([formula(i * 0.01) for i in range(201)])
+    fields = ["t", *(f"n{k}" for k in range(1, 9)), *(f"dn{k}" for k in range(1, 9)),
+              "s4", "s2", "norm2"]
+    got = np.array([[row[name] for name in fields] for row in obj["rows"]])
+    assert np.array_equal(got, expected)
+    # numpy's eigh and complex exp agree to a few ulps of the unit column scale.
+    assert np.abs(got[:, 1:9] - bloch_trajectory(p, got[:, 0]).bloch).max() <= 1e-14
+
+
+def test_criterion_11_cli_matches_independent_propagator(cli_tables):
+    # Every figure table within 1e-11 of its column scale of the eigh oracle.
+    assert len(cli_tables) == 12
+    for name, table in cli_tables.items():
+        reference = reference_table(figures.load_figure(name).params, checks.FIGURE_GRID)
+        scale = np.maximum(np.abs(reference).max(axis=0), 1.0)
+        dev = (np.abs(table - reference) / scale).max()
+        assert dev <= 1e-11, f"{name}: {dev:.3e}"
 
 
 def test_verify_all_end_to_end():

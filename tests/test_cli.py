@@ -13,6 +13,7 @@ import tempfile
 import textwrap
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
-from qutrit_bloch import checks, cli, config, dynamics, states
+from qutrit_bloch import checks, cli, config, dynamics, model, states
 from qutrit_bloch.cli import (
     CSV_HEADER,
     main,
@@ -38,7 +39,7 @@ from qutrit_bloch.config import (
     render_run_config,
     run_config_dict,
 )
-from qutrit_bloch.dynamics import Configuration, bloch_trajectory
+from qutrit_bloch.dynamics import Configuration
 from qutrit_bloch.figures import FIGURE_NAMES, figure_config_text, load_figure, parameter_sets
 
 FIG1A_TEXT = "config=lambda\nkappa_a=0.3\nkappa_b=0.2\ndelta=0\nt_max=100\ndt=0.01\n"
@@ -358,26 +359,26 @@ def test_run_simulate_unwritable_path(tmp_path, capsys):
 
 
 def test_run_simulate_invariant_breach(tmp_path, capsys, monkeypatch):
-    import qutrit_bloch.cli as cli_mod
+    real = model.row_formula
 
-    real = cli_mod.bloch_trajectory
+    def corrupted(p):
+        row = real(p)
 
-    def corrupted(p, times):
-        traj = real(p, times)
-        bloch = traj.bloch.copy()
-        bloch[-1] *= 1.01  # inject a norm drift past the runtime tolerance
-        return traj.__class__(
-            times=traj.times, amplitudes=traj.amplitudes, bloch=bloch,
-            bloch_dot=traj.bloch_dot, sector4=traj.sector4, sector2=traj.sector2,
-        )
+        def drifted(t):
+            values = row(t)
+            if t == 1.0:  # the last row: |n|^2 as if n had grown by 1%
+                values = values[:-1] + (values[-1] * 1.01**2,)
+            return values
 
-    monkeypatch.setattr(cli_mod, "bloch_trajectory", corrupted)
+        return drifted
+
+    monkeypatch.setattr(model, "row_formula", corrupted)
     cfg = short_cfg(tmp_path)
     assert run_simulate(cfg) == 3
     assert "norm drifted" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []  # neither the output nor its early temp file
 
-    # A detuning this large turns every entry into nan, and the drift with it.
+    # A detuning this large turns the phases into inf, and the table with them.
     # stderr carries the CLI's one error line and no numpy warning.
     monkeypatch.undo()
     out = tmp_path / "nan.json"
@@ -391,17 +392,38 @@ def test_run_simulate_invariant_breach(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+NON_FINITE = "error: the trajectory has non-finite values; aborting without output\n"
+
+
+@pytest.mark.parametrize("overrides", [
+    ["delta=1e308"],
+    ["kappa_a=1e308", "kappa_b=1e308"],
+    ["delta=1.7e308", "convention=full"],
+], ids=["detuning", "couplings", "full-convention"])
+def test_overflowing_inputs_exit_3_with_one_line(tmp_path, overrides):
+    # math.cos(inf) raises and float ** overflows where numpy gave nan: each
+    # case must reach the non-finite line, from the helper's blocks too
+    # (10001 rows), with no traceback and no file.
+    out = tmp_path / "out.csv"
+    args = ["simulate", "--figure", "fig1a", "--output", str(out)]
+    for item in overrides:
+        args += ["--set", item]
+    result = subprocess.run([sys.executable, "-m", "qutrit_bloch.cli", *args],
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (3, "", NON_FINITE)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_failed_write_keeps_existing_output(tmp_path, capsys, monkeypatch, fmt):
     out = tmp_path / f"out.{fmt}"
     out.write_bytes(b"earlier run\n")
-    real = cli._write_rows
-
-    def disk_full(fh, table, row, sep):
-        real(fh, table[:3], row, sep)  # a partial write, then the failure
+    def disk_full(table, fh):
+        # A partial write, then the failure.
+        fh.write(cli._format_block(table.blocks[0], table.row, table.sep)[:200])
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(cli, "_write_rows", disk_full)
+    monkeypatch.setattr(cli._Table, "write", disk_full)
     assert run_simulate(short_cfg(tmp_path, output=out, format=fmt)) == 2
     assert "No space left on device" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [out]
@@ -585,7 +607,7 @@ def test_config_file_past_the_size_cap_is_refused(tmp_path, source):
     assert result.stdout == ""
 
 
-def no_trajectory(p, times):
+def no_trajectory(*args):
     raise AssertionError("the trajectory ran for an output that cannot be written")
 
 
@@ -596,7 +618,7 @@ def write_error(out, reason):
 
 @pytest.mark.parametrize("output", [".", "", "missing/x.csv"])
 def test_directory_output_refused_before_any_work(tmp_path, capsys, monkeypatch, output):
-    monkeypatch.setattr(cli, "bloch_trajectory", no_trajectory)
+    monkeypatch.setattr(cli, "_row_values", no_trajectory)
     monkeypatch.chdir(tmp_path)
     assert main(["simulate", "--figure", "fig1a", "--output", output]) == 2
     reason = "No such file or directory" if "/" in output else "Is a directory"
@@ -608,7 +630,7 @@ def test_directory_output_refused_before_any_work(tmp_path, capsys, monkeypatch,
 
 def test_occupied_temp_name_refused_before_any_work(tmp_path, capsys, monkeypatch):
     # A directory holds the temp file's name: only the OS can tell, when it is created.
-    monkeypatch.setattr(cli, "bloch_trajectory", no_trajectory)
+    monkeypatch.setattr(cli, "_row_values", no_trajectory)
     out = tmp_path / "out.csv"
     occupied = tmp_path / f"out.csv.{os.getpid()}.tmp"
     occupied.mkdir()
@@ -618,7 +640,7 @@ def test_occupied_temp_name_refused_before_any_work(tmp_path, capsys, monkeypatc
 
 
 def test_nul_byte_output_refused_at_parse(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "bloch_trajectory", no_trajectory)
+    monkeypatch.setattr(cli, "_row_values", no_trajectory)
     monkeypatch.chdir(tmp_path)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(FIG1A_TEXT + "output=a\0b.csv\n")
@@ -631,7 +653,7 @@ def test_nul_byte_output_refused_at_parse(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("length", [250, 300])
 def test_overlong_output_name_exits_2(tmp_path, capsys, monkeypatch, length):
     # 250 bytes is a valid name whose temp-file name is too long; 300 is too long itself.
-    monkeypatch.setattr(cli, "bloch_trajectory", no_trajectory)
+    monkeypatch.setattr(cli, "_row_values", no_trajectory)
     out = tmp_path / ("a" * length)
     assert main(["simulate", "--figure", "fig1a", "--set", "t_max=1", "--output", str(out)]) == 2
     err = capsys.readouterr().err
@@ -796,6 +818,26 @@ def test_long_path_and_figure_echo_is_cut(tmp_path, capsys, monkeypatch, args, h
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command,argument,choices", [
+    ("verify", "scope", checks.SCOPES),
+    ("cardinal", "label", states.CARDINAL_LABELS),
+    (None, "command", ("simulate", "verify", "cardinal")),
+])
+def test_long_choice_echo_is_cut(capsys, command, argument, choices):
+    # argparse's usage and invalid-choice line, with the value cut to 60 characters.
+    with pytest.raises(SystemExit) as exc:
+        main([command] * (command is not None) + ["x" * LONG])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    prog = "qutrit-bloch" + f" {command}" * (command is not None)
+    assert err.startswith(f"usage: {prog} ")
+    assert err.endswith(
+        f"{prog}: error: argument {argument}: invalid choice: {config._echo('x' * LONG)}"
+        f" (choose from {', '.join(map(repr, choices))})\n"
+    )
+    assert len(err.encode()) < 400
+
+
 def test_unknown_figure_lists_the_figures(capsys):
     assert main(["simulate", "--figure", "fig9"]) == 2
     assert capsys.readouterr().err == f"error: unknown figure 'fig9'; expected one of {FIGURE_LIST}\n"
@@ -824,24 +866,39 @@ def reference_json(path, cfg, table):
         fh.write("\n")
 
 
-def assert_writers_match_reference(tmp_path, cfg, table):
+def table_values(table):
+    """``values(start, stop)`` of a (rows, 20) array, as ``cli._table_blocks`` reads a table."""
+    return lambda start, stop: table[start:stop].ravel().tolist()
+
+
+def assert_writers_match_reference(tmp_path, cfg, table, values=None):
+    """Both writers, fed the table in blocks, match the per-value writers.
+
+    The blocks come from ``values`` (the table's own rows by default), so a
+    table the blocks compute themselves is compared with one computed whole.
+    """
+    values = values or table_values(table)
     new, ref = tmp_path / "new", tmp_path / "ref"
-    cli._write_csv(new, table)
+    with cli._table_blocks(len(table), values, cli._CSV_ROW, "") as (_, _, blocks):
+        cli._write_csv(new, blocks)
     reference_csv(ref, table)
     assert new.read_bytes() == ref.read_bytes()
-    cli._write_json(new, cfg, table)
+    with cli._table_blocks(len(table), values, cli._JSON_ROW, cli._JSON_SEP) as (_, _, blocks):
+        cli._write_json(new, cfg, blocks)
     reference_json(ref, cfg, table)
     assert new.read_bytes() == ref.read_bytes()
 
 
-def simulated_table(cfg):
-    return cli._records(bloch_trajectory(cfg.params, simulation_grid(cfg)))[0]
+def simulated_table(cfg, rows=None):
+    """The first ``rows`` rows of ``cfg``'s table (all by default), computed in one go."""
+    rows = rows or grid_rows(cfg.t_max, cfg.dt)
+    return np.array(cli._row_values(cfg)(0, rows)).reshape(rows, len(CSV_HEADER.split(",")))
 
 
 @pytest.mark.parametrize("name", FIGURE_NAMES)
 def test_writers_byte_identical_on_bundled_figures(tmp_path, name):
     cfg = parse_run_config(figure_config_text(name), {"t_max": "2"})
-    assert_writers_match_reference(tmp_path, cfg, simulated_table(cfg))
+    assert_writers_match_reference(tmp_path, cfg, simulated_table(cfg), cli._row_values(cfg))
 
 
 def count_forks(monkeypatch) -> list:
@@ -865,9 +922,9 @@ def test_writers_byte_identical_across_blocks(tmp_path, monkeypatch, rows):
     monkeypatch.setattr(cli, "BLOCK_ROWS", 64)
     forks = count_forks(monkeypatch)
     cfg = parse_run_config(FIG1A_TEXT, {"t_max": "320", "dt": "1"})
-    table = simulated_table(cfg)[:rows]
+    table = simulated_table(cfg, rows)
     assert table.shape[0] == rows
-    assert_writers_match_reference(tmp_path, cfg, table)
+    assert_writers_match_reference(tmp_path, cfg, table, cli._row_values(cfg))
     assert len(forks) == (0 if rows <= cli.BLOCK_ROWS else 2)
     assert_no_child_left()
 
@@ -880,7 +937,7 @@ def test_writers_byte_identical_when_fork_fails(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     cfg = parse_run_config(FIG1A_TEXT, {"t_max": str(5 * cli.BLOCK_ROWS), "dt": "1"})
-    assert_writers_match_reference(tmp_path, cfg, simulated_table(cfg))
+    assert_writers_match_reference(tmp_path, cfg, simulated_table(cfg), cli._row_values(cfg))
 
 
 @pytest.mark.parametrize("failure", ["helper_raises", "helper_status", "parent_fails"])
@@ -927,18 +984,80 @@ def test_failed_helper_keeps_existing_output(tmp_path, capsys, monkeypatch, fmt,
 
 def test_cli_import_starts_no_pool_machinery(tmp_path):
     # A process pool's modules would add start-up time to every CLI run, and
-    # numpy.random (25 ms, 5.6 MB) is for verify's samples only.
+    # numpy (0.13 s to import) is for verify and cardinal only.
     code = (
         "import sys, qutrit_bloch.cli; "
         "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules); "
         "code = qutrit_bloch.cli.main(sys.argv[1:]); "
-        "print(code, 'numpy.random' in sys.modules)"
+        "print(code, 'numpy.random' in sys.modules, 'numpy' in sys.modules)"
     )
     out = tmp_path / "out.csv"
     args = ["simulate", "--figure", "fig1a", "--set", "t_max=1", "--output", str(out)]
     result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
                             text=True, timeout=60, check=True)
-    assert result.stdout == f"False False\nwrote 101 records to {out}\n0 False\n"
+    assert result.stdout == f"False False\nwrote 101 records to {out}\n0 False False\n"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc/self/status")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_forks_a_single_threaded_process_without_numpy(tmp_path, fmt):
+    # CPython 3.12 warns when it forks a process with other OS threads, as
+    # after `import numpy` (OpenBLAS starts one). simulate must fork before
+    # any numpy, with one thread, and never import numpy at all.
+    code = textwrap.dedent("""
+        import os, re, sys
+        seen = []
+        real_fork = os.fork
+        def fork():
+            with open("/proc/self/status") as fh:
+                threads = int(re.search(r"^Threads:\\s+(\\d+)", fh.read(), re.M).group(1))
+            seen.append((threads, "numpy" in sys.modules))
+            return real_fork()
+        os.fork = fork
+        from qutrit_bloch import cli
+        code = cli.main(sys.argv[1:])
+        print(code, seen, "numpy" in sys.modules)
+    """)
+    out = tmp_path / f"fig1a.{fmt}"
+    args = ["simulate", "--figure", "fig1a", "--format", fmt, "--output", str(out)]
+    result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.splitlines()[-1] == "0 [(1, False)] False"
+    assert result.stderr == ""
+
+
+#: Settings that change numpy's SIMD dispatch and OpenBLAS's kernel; simulate
+#: imports neither, so its bytes must not move. Set on the children only.
+NUMPY_HOST_SETTINGS = [
+    {},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V4 X86_V3"},
+    {"OPENBLAS_CORETYPE": "Prescott"},
+]
+
+
+def test_simulate_bytes_do_not_depend_on_numpy_dispatch(tmp_path):
+    runs = [(name, fmt, i) for name in ("fig3b", "fig5a") for fmt in ("csv", "json")
+            for i in range(len(NUMPY_HOST_SETTINGS))]
+    # The children run elsewhere, so they find the package by its absolute path.
+    path = os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+
+    def run(case):
+        name, fmt, i = case
+        cwd = tmp_path / str(i)  # one output name: the JSON meta holds it
+        cwd.mkdir(exist_ok=True)
+        subprocess.run(
+            [sys.executable, "-m", "qutrit_bloch.cli", "simulate", "--figure", name,
+             "--format", fmt, "--output", f"{name}.{fmt}"],
+            cwd=cwd, env={**os.environ, "PYTHONPATH": path, **NUMPY_HOST_SETTINGS[i]},
+            capture_output=True,
+            timeout=60, check=True,
+        )
+        return (cwd / f"{name}.{fmt}").read_bytes()
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        outputs = dict(zip(runs, pool.map(run, runs)))
+    for (name, fmt, i), data in outputs.items():
+        assert data == outputs[name, fmt, 0], (name, fmt, NUMPY_HOST_SETTINGS[i])
 
 
 FIG1A_JSON_HEAD = """\

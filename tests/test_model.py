@@ -1,0 +1,101 @@
+import math
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from qutrit_bloch import figures, model
+from qutrit_bloch.dynamics import adjoint_generator, rotating_hamiltonian
+from qutrit_bloch.su3 import derive_structure_constants, gellmann_basis, gellmann_coefficients
+
+EPS = np.finfo(float).eps
+
+
+def symmetric_matrices():
+    """Seeded symmetric 3x3 matrices: random scales, degenerate, diagonal, zero, the figures'."""
+    rng = np.random.default_rng(20241019)
+    out = []
+    for scale in (1e-300, 1e-8, 1.0, 40.0, 1e150, 1e300):
+        for _ in range(20):
+            a = rng.normal(size=(3, 3)) * scale
+            out.append((a + a.T) / 2.0)
+    out.append(np.diag([2.0, -1.0, -1.0]))  # degenerate, already diagonal
+    out.append(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))  # zero diagonal
+    out.append(np.zeros((3, 3)))
+    out.append(np.array([[1.0, 1e-200, 0.0], [1e-200, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    out += [rotating_hamiltonian(p) for p in figures.parameter_sets().values()]
+    return out
+
+
+@pytest.mark.parametrize("h", symmetric_matrices())
+def test_eigenpairs_match_eigh(h):
+    energies, vectors = model.eigenpairs(tuple(map(tuple, h.tolist())))
+    e, v = np.array(energies), np.array(vectors)
+    scale = max(np.abs(h).max(), np.finfo(float).tiny)
+    assert np.all(np.diff(e) >= 0.0)
+    assert np.abs(e - np.linalg.eigvalsh(h)).max() <= 8 * EPS * scale
+    assert np.abs(v.T @ v - np.eye(3)).max() <= 8 * EPS
+    assert np.abs(h @ v - v * e).max() <= 8 * EPS * scale
+
+
+@pytest.mark.parametrize("h", [
+    ((1.7e308, 1.7e308, 0.0), (1.7e308, -1.7e308, 0.0), (0.0, 0.0, 0.0)),
+    ((math.inf, 0.1, 0.15), (0.1, -3e307, 0.0), (0.15, 0.0, -3e307)),
+    ((math.nan, 0.0, 0.0), (0.0, 1.0, 0.5), (0.0, 0.5, 1.0)),
+], ids=["overflowing", "inf", "nan"])
+def test_eigenpairs_stop_at_the_sweep_cap(h):
+    # Non-finite intermediates never converge: the solver returns after
+    # JACOBI_SWEEPS sweeps with non-finite output, and raises nothing.
+    energies, vectors = model.eigenpairs(h)
+    assert not all(map(math.isfinite, (*energies, *sum(vectors, ()))))
+
+
+def einsum_generator(p):
+    """M = 2 einsum(h, f) from the Gell-Mann expansion and the derived f table."""
+    h = gellmann_coefficients(rotating_hamiltonian(p))[1:]
+    return 2.0 * np.einsum("j,jlk->kl", h, derive_structure_constants(gellmann_basis()).f)
+
+
+@pytest.mark.parametrize("label", sorted(figures.parameter_sets()))
+def test_generator_entries_match_the_f_table(label):
+    p = figures.parameter_sets()[label]
+    entries = model.generator_entries(model.hamiltonian(p))
+    assert len(entries) == 28 and list(entries) == sorted(entries)
+    assert all(entries[l, k] == -v for (k, l), v in entries.items())
+    reference = einsum_generator(p)
+    # 1e-15 of M's largest entry: one rounding of the Gell-Mann coefficients.
+    scale = max(1.0, np.abs(reference).max())
+    assert np.abs(adjoint_generator(p) - reference).max() <= 1e-15 * scale
+    assert np.count_nonzero(adjoint_generator(p)) <= 28
+
+
+def test_row_formula_refuses_non_finite_hamiltonian():
+    p = model.SimParams(model.Configuration.LAMBDA, 0.3, 0.2, 1e308)  # 2 delta overflows
+    with pytest.raises(ArithmeticError):
+        model.row_formula(p)
+
+
+def test_command_line_modules_import_no_numpy():
+    code = (
+        "import sys, qutrit_bloch.cli, qutrit_bloch.model, qutrit_bloch.config, "
+        "qutrit_bloch.figures; print('numpy' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=60, check=True)
+    assert result.stdout == "False\n"
+
+
+def test_every_public_name_resolves():
+    import qutrit_bloch
+
+    for name in qutrit_bloch.__all__:
+        assert getattr(qutrit_bloch, name) is not None, name
+    with pytest.raises(AttributeError):
+        qutrit_bloch.no_such_name  # noqa: B018
+
+
+def test_parser_scopes_are_the_suites():
+    from qutrit_bloch import checks
+
+    assert checks.SCOPES == model.VERIFY_SCOPES
