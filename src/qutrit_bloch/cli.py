@@ -9,17 +9,20 @@ temporary file is created before any work, so an output the OS refuses exits
 2 at once; a run killed before it ends can leave it behind. That
 atomicity covers regular files only: POSIX ``rename(2)`` replaces a directory
 entry, so a symlink is followed and its target replaced, and another existing
-non-regular target (a FIFO, a device) is opened and written in place.
+non-regular target (a FIFO, a device) is opened and written in place, so it
+can receive part of the table before an exit 2 or 3.
 
 ``simulate`` imports no numpy: each table row comes from
 ``model.row_formula`` in plain floats. A table of more than ``BLOCK_ROWS``
-rows is cut into an even number of near-equal blocks; this process computes,
-checks and formats the even blocks and one forked helper the odd ones. The
-helper reports whether its rows are finite and their largest norm drift
-before it sends any text, so exit 3 is decided on the whole table before the
-output is opened; then it sends its blocks back through a pipe, and the file
-holds the same bytes as from one process. There is no option for this.
-``verify`` and ``cardinal`` import numpy when they run.
+rows is cut into an even number of near-equal blocks; this process does the
+even blocks and one forked helper the odd ones. Each process takes its blocks
+one at a time: it computes the rows, checks them, formats them, then writes
+them (this process) or sends them through a pipe (the helper), so no block's
+values outlive that step and memory does not grow with the table. The first
+block that breaches an invariant ends the run with exit 3, and the drift
+line names that block's largest drift. The file holds the same bytes as from
+one process. There is no option for this. ``verify`` and ``cardinal`` import
+numpy when they run.
 """
 
 from __future__ import annotations
@@ -31,15 +34,14 @@ import json
 import math
 import os
 import stat
-import struct
 import sys
-from array import array
+from itertools import chain
 from pathlib import Path
 
 from . import config, figures, model
-from .config import ConfigError, RunConfig, parse_run_config, run_config_dict, simulation_grid
+from .config import ConfigError, RunConfig, parse_run_config, run_config_dict
 
-__all__ = ["main", "run_cardinal", "run_simulate", "run_verify", "simulation_grid"]
+__all__ = ["main", "run_cardinal", "run_simulate", "run_verify"]
 
 CSV_HEADER = (
     "t,n1,n2,n3,n4,n5,n6,n7,n8,"
@@ -61,38 +63,44 @@ _JSON_ROW = "{\n" + ",\n".join(f'   "{name}": %r' for name in _FIELDS) + "\n  }"
 _JSON_SEP = ",\n  "
 
 _NON_FINITE = "error: the trajectory has non-finite values; aborting without output"
-#: A block's check as the helper sends it: finite, then the largest drift.
-_STATUS = struct.Struct(">?d")
-#: One row's values as machine doubles, the layout of ``array("d")``.
-_VALUES = struct.Struct(f"{len(_FIELDS)}d")
+#: The kind byte of one of the helper's records: a block's text, or a breach line.
+_TEXT, _BREACH = b"T", b"B"
+
+
+class _Breach(Exception):
+    """A runtime invariant breach; its message is the line printed before exit 3."""
 
 
 def _row_values(cfg: RunConfig):
     """``values(start, stop)``: rows start..stop-1 of ``cfg``'s table, flat, row i at i * dt.
 
-    Raises ArithmeticError when the Hamiltonian, its eigenpairs or M are not finite.
+    Each block is checked: every value finite, every norm2 within
+    ``RUNTIME_NORM_TOL`` of 4/3. A breach raises :class:`_Breach` with the
+    line to print: here when the Hamiltonian, its eigenpairs or M are not
+    finite, from ``values`` for a block that fails, naming its largest drift.
     """
-    row, dt, pack = model.row_formula(cfg.params), cfg.dt, _VALUES.pack
+    try:
+        row = model.row_formula(cfg.params)
+    except ArithmeticError:  # a huge but finite input overflowed H, its eigenpairs or M
+        raise _Breach(_NON_FINITE) from None
+    dt = cfg.dt
 
-    def values(start: int, stop: int) -> array:
-        # Packed row by row: array.extend would cost a third of the row formula.
-        return array("d", b"".join([pack(*row(i * dt)) for i in range(start, stop)]))
+    def values(start: int, stop: int) -> tuple:
+        try:
+            block = tuple(chain.from_iterable([row(i * dt) for i in range(start, stop)]))
+        except ValueError:  # math.cos/sin of an overflowed phase, where numpy gives nan
+            raise _Breach(_NON_FINITE) from None
+        # A sum of finite values can only overflow; then every value is looked at.
+        if not math.isfinite(sum(block)) and not all(map(math.isfinite, block)):
+            raise _Breach(_NON_FINITE)
+        norm2 = block[len(_FIELDS) - 1::len(_FIELDS)]
+        drift = max(max(norm2) - model.BLOCH_NORM_SQ, model.BLOCH_NORM_SQ - min(norm2))
+        if drift > RUNTIME_NORM_TOL:
+            raise _Breach(f"error: Bloch norm drifted by {drift:.3e}"
+                          f" (tolerance {RUNTIME_NORM_TOL:g}); aborting without output")
+        return block
 
     return values
-
-
-def _checked(values, start: int, stop: int):
-    """``(block, finite, drift)``: ``values(start, stop)``, whether every value
-    is finite, and the largest |norm2 - 4/3| (nan unless finite)."""
-    try:
-        block = values(start, stop)
-    except ValueError:  # math.cos/sin of an overflowed phase, where numpy gives nan
-        return None, False, math.nan
-    # A sum of finite values can only overflow; then every value is looked at.
-    if not math.isfinite(sum(block)) and not all(map(math.isfinite, block)):
-        return None, False, math.nan
-    norm2 = block[len(_FIELDS) - 1::len(_FIELDS)]
-    return block, True, max(max(norm2) - model.BLOCH_NORM_SQ, model.BLOCH_NORM_SQ - min(norm2))
 
 
 def _format_block(block, row: str, sep: str) -> str:
@@ -108,45 +116,42 @@ def _read_exactly(pipe, size: int) -> bytes:
     return data
 
 
-class _Helper:
-    """The parent's end of the helper's pipe: one status, then the blocks in order."""
-
-    def __init__(self, pipe, blocks: int):
-        self.pipe, self.pending = pipe, blocks
-
-    def status(self) -> tuple[bool, float]:
-        """Whether the helper's rows are finite, and their largest drift."""
-        return _STATUS.unpack(_read_exactly(self.pipe, _STATUS.size))
-
-    def receive(self) -> str:
-        """The next block's text: an 8-byte length, then the text."""
-        size = int.from_bytes(_read_exactly(self.pipe, 8), "big")
-        self.pending -= 1
-        return _read_exactly(self.pipe, size).decode()
+def _receive(pipe) -> str:
+    """The text of the helper's next record; raises :class:`_Breach` on a breach line."""
+    head = _read_exactly(pipe, 9)
+    text = _read_exactly(pipe, int.from_bytes(head[1:], "big")).decode()
+    if head[:1] == _BREACH:
+        raise _Breach(text)
+    return text
 
 
 def _helper_main(wfd: int, values, bounds, row: str, sep: str) -> None:
-    """The helper: compute and check its blocks, send the status, then the texts."""
+    """The helper: compute, check and format its blocks in turn, sending each as a record.
+
+    A record is a kind byte, an 8-byte length, then the text. A breach is
+    sent as its line, and is the helper's last record.
+    """
     with open(wfd, "wb") as pipe:
-        checked = [_checked(values, *b) for b in bounds]
-        finite = all(c[1] for c in checked)
-        pipe.write(_STATUS.pack(finite, max(c[2] for c in checked) if finite else math.nan))
-        pipe.flush()
-        if finite:
-            for i, (block, _, _) in enumerate(checked):
-                checked[i] = None  # each block's values are freed once formatted
-                data = _format_block(block, row, sep).encode()
-                pipe.write(len(data).to_bytes(8, "big"))
-                pipe.write(data)
+        for start, stop in bounds:
+            try:
+                kind, text = _TEXT, _format_block(values(start, stop), row, sep)
+            except _Breach as exc:
+                kind, text = _BREACH, str(exc)
+            data = text.encode()
+            pipe.write(kind + len(data).to_bytes(8, "big"))
+            pipe.write(data)
+            if kind == _BREACH:
+                return
 
 
 @contextlib.contextmanager
 def _format_helper(values, bounds, row: str, sep: str):
     """Fork one process that computes, checks and formats the blocks ``bounds``.
 
-    Yields a :class:`_Helper`, or None when the fork fails and the caller
-    must do every block itself. A short read raises ``OSError``, and so does
-    a helper that exits with a failing status after sending every block.
+    Yields the pipe its records come through, or None when the fork fails
+    and the caller must do every block itself. A short read raises
+    ``OSError``, and so does a helper that exits with a failing status
+    when the caller is done.
     """
     rfd, wfd = os.pipe()
     try:
@@ -168,73 +173,73 @@ def _format_helper(values, bounds, row: str, sep: str):
         finally:
             os._exit(code)
     os.close(wfd)
-    helper = _Helper(open(rfd, "rb"), len(bounds))
+    pipe = open(rfd, "rb")
     try:
-        yield helper
+        yield pipe
     finally:
         # Close before the wait: a helper blocked on a full pipe gets EPIPE.
-        helper.pipe.close()
+        pipe.close()
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    # A caller that stops early (exit 3) does not need the helper to succeed.
-    if code and not helper.pending:
+    # Not reached when the caller stops early on an exception (exit 2 or 3).
+    if code:
         raise OSError(errno.EIO, f"the formatting helper exited with status {code}")
 
 
 class _Table:
-    """A checked table as the writers take it: its blocks in order.
+    """A table as the writers take it: its blocks in order, each computed,
+    checked and formatted when :meth:`write` reaches it, then dropped.
 
-    A block this process computed is the flat ``array("d")`` of its rows'
-    values, and ``table[i, j]`` reads or sets value j of row i in it. A
-    block the helper computed is None here; its text comes through the pipe
-    when :meth:`write` reaches it.
+    ``blocks`` holds the rows (start, stop) of each of this process's blocks
+    and None for each of the helper's, whose text comes through ``helper``,
+    its pipe. ``table[i, j]`` reads or sets value j of row i in one of this
+    process's blocks; a value set replaces the computed one after the check.
     """
 
-    def __init__(self, bounds, blocks, helper, row: str, sep: str):
-        self.bounds, self.blocks, self.helper, self.row, self.sep = bounds, blocks, helper, row, sep
+    def __init__(self, blocks, values, helper, row: str, sep: str, edits=None):
+        self.blocks, self.values, self.helper, self.row, self.sep = blocks, values, helper, row, sep
+        self.edits = {} if edits is None else edits
 
-    def _locate(self, key) -> tuple[array, int]:
+    def _own(self, key) -> tuple[int, int]:
         i, j = key
-        for (start, stop), block in zip(self.bounds, self.blocks):
-            if start <= i < stop and block is not None and 0 <= j < len(_FIELDS):
-                return block, (i - start) * len(_FIELDS) + j
+        if 0 <= j < len(_FIELDS) and any(b and b[0] <= i < b[1] for b in self.blocks):
+            return i, j
         raise IndexError(f"no value ({i}, {j}) in this process's blocks")
 
     def __getitem__(self, key) -> float:
-        block, k = self._locate(key)
-        return block[k]
+        i, j = key = self._own(key)
+        return self.edits[key] if key in self.edits else self.values(i, i + 1)[j]
 
     def __setitem__(self, key, value: float) -> None:
-        block, k = self._locate(key)
-        block[k] = value
+        self.edits[self._own(key)] = value
 
     def copy(self) -> _Table:
-        """A table with copies of this process's blocks and the same helper."""
-        blocks = [None if b is None else array("d", b) for b in self.blocks]
-        return _Table(self.bounds, blocks, self.helper, self.row, self.sep)
+        """A table with a copy of this one's set values and the same helper."""
+        return _Table(self.blocks, self.values, self.helper, self.row, self.sep, dict(self.edits))
+
+    def _text(self, start: int, stop: int) -> str:
+        block = self.values(start, stop)
+        if self.edits:
+            block = list(block)
+            for (i, j), value in self.edits.items():
+                if start <= i < stop:
+                    block[(i - start) * len(_FIELDS) + j] = value
+        return _format_block(block, self.row, self.sep)
 
     def write(self, fh) -> None:
         """Write every block's text in order, each ``row % values`` per row, joined by ``sep``."""
-        for k, block in enumerate(self.blocks):
-            self.blocks[k] = None  # each block's values are freed once formatted
+        for k, bounds in enumerate(self.blocks):
             if k:
                 fh.write(self.sep)
-            if block is None:
-                fh.write(self.helper.receive())
-            else:
-                fh.write(_format_block(block, self.row, self.sep))
+            fh.write(_receive(self.helper) if bounds is None else self._text(*bounds))
 
 
 @contextlib.contextmanager
 def _table_blocks(rows: int, values, row: str, sep: str):
-    """Compute and check a table of ``rows`` rows in blocks.
+    """Yield the :class:`_Table` of ``rows`` rows, written ``row`` per row and ``sep`` between.
 
     ``values(start, stop)`` gives rows start..stop-1 as one flat sequence of
-    floats. Yields ``(finite, drift, table)`` for the whole table: whether
-    every value is finite, the largest |norm2 - 4/3| (nan unless finite),
-    and the :class:`_Table` that writes it with ``row`` per row and ``sep``
-    between rows. Above ``BLOCK_ROWS`` rows the table is cut into an even
-    number of blocks and a forked helper does the odd ones; no text is
-    formatted before both processes have checked their rows.
+    floats. Above ``BLOCK_ROWS`` rows the table is cut into an even number
+    of blocks and a forked helper does the odd ones while the table is open.
     """
     count = 1 if rows <= BLOCK_ROWS else 2 * -(-rows // (2 * BLOCK_ROWS))
     bounds = [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
@@ -242,15 +247,9 @@ def _table_blocks(rows: int, values, row: str, sep: str):
     if count > 1:
         split = _format_helper(values, bounds[1::2], row, sep)
     with split as helper:
-        checked = [_checked(values, *b) for b in (bounds if helper is None else bounds[0::2])]
-        status = [c[1:] for c in checked] + ([helper.status()] if helper is not None else [])
-        finite = all(ok for ok, _ in status)
-        drift = max(d for _, d in status) if finite else math.nan
-        blocks = [block for block, _, _ in checked]
         if helper is not None:
-            blocks = [None if i % 2 else blocks[i // 2] for i in range(count)]
-        del checked  # the table holds the only reference to each block
-        yield finite, drift, _Table(bounds, blocks, helper, row, sep)
+            bounds[1::2] = [None] * (count // 2)
+        yield _Table(bounds, values, helper, row, sep)
 
 
 def _write_csv(path: Path, table: _Table) -> None:
@@ -297,34 +296,22 @@ def run_simulate(cfg: RunConfig) -> int:
     """Run one trajectory and write it out; see module docstring for codes."""
     out = target = path = cfg.output_path
     rows = config.grid_rows(cfg.t_max, cfg.dt)
+    row, sep = (_CSV_ROW, "") if cfg.output_format == "csv" else (_JSON_ROW, _JSON_SEP)
     try:
         # Refuse an output that cannot be created before any work is done.
         target, path = _output_paths(out)
-        try:
-            values = _row_values(cfg)
-        except ArithmeticError:  # a huge but finite input overflowed H, its eigenpairs or M
-            print(_NON_FINITE, file=sys.stderr)
-            return 3
-        row, sep = (_CSV_ROW, "") if cfg.output_format == "csv" else (_JSON_ROW, _JSON_SEP)
-        with _table_blocks(rows, values, row, sep) as (finite, drift, table):
-            if not finite:
-                print(_NON_FINITE, file=sys.stderr)
-                return 3
-            if drift > RUNTIME_NORM_TOL:
-                print(
-                    f"error: Bloch norm drifted by {drift:.3e} (tolerance {RUNTIME_NORM_TOL:g});"
-                    " aborting without output",
-                    file=sys.stderr,
-                )
-                return 3
-            # A regular target is written beside and renamed over, so a failed
-            # write never leaves a partial file at the output path.
+        # A regular target is written beside and renamed over, so a failed
+        # write or a breach never leaves a partial file at the output path.
+        with _table_blocks(rows, _row_values(cfg), row, sep) as table:
             if cfg.output_format == "csv":
                 _write_csv(path, table)
             else:
                 _write_json(path, cfg, table)
         if path != target:
             os.replace(path, target)
+    except _Breach as exc:
+        print(exc, file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"error: cannot write {config._echo(str(out))}: {exc.strerror or exc}",
               file=sys.stderr)

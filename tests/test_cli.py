@@ -12,6 +12,7 @@ import sys
 import tempfile
 import textwrap
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -28,7 +29,6 @@ from qutrit_bloch.cli import (
     run_cardinal,
     run_simulate,
     run_verify,
-    simulation_grid,
 )
 from qutrit_bloch.config import (
     _ALL_KEYS,
@@ -38,6 +38,7 @@ from qutrit_bloch.config import (
     parse_run_config,
     render_run_config,
     run_config_dict,
+    simulation_grid,
 )
 from qutrit_bloch.dynamics import Configuration
 from qutrit_bloch.figures import FIGURE_NAMES, figure_config_text, load_figure, parameter_sets
@@ -276,7 +277,6 @@ def test_figures_share_the_verify_grid():
     assert {(cfg.t_max, cfg.dt) for cfg in cfgs} == {(checks.T_MAX, checks.DT)}
     for cfg in cfgs:
         assert np.array_equal(simulation_grid(cfg), checks.FIGURE_GRID)
-    assert cli.simulation_grid is config.simulation_grid
 
 
 def test_simulation_grid_row_count():
@@ -391,6 +391,34 @@ def test_run_simulate_invariant_breach(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and "non-finite" in err and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
+    # Four blocks of 64 rows, the odd ones the helper's. A breach partway
+    # through the table ends the run at the first breaching block: in one of
+    # the helper's blocks, or in a later one of this process's. The line
+    # names that block's drift, not the larger one in a block after it.
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 64)
+    monkeypatch.setattr(model, "row_formula", lambda p: drifting(real(p), {t: 1.01, t + 50: 1.02}))
+    for t in (100, 150):  # in block 1 (the helper's), in block 2 (this process's)
+        for fmt in ("csv", "json"):
+            cfg = short_cfg(tmp_path, t_max=255, dt=1, format=fmt, output=tmp_path / f"out.{fmt}")
+            drift = real(cfg.params)(t)[-1] * 1.01**2 - model.BLOCH_NORM_SQ
+            assert run_simulate(cfg) == 3
+            assert capsys.readouterr().err == (
+                f"error: Bloch norm drifted by {drift:.3e} (tolerance 1e-06);"
+                " aborting without output\n")
+            assert list(tmp_path.iterdir()) == []
+            assert_no_child_left()
+
+
+def drifting(row, growth):
+    """``row`` with |n|^2 at each time t in ``growth`` as if n had grown by ``growth[t]``."""
+    def drifted(t):
+        values = row(t)
+        if t in growth:
+            values = values[:-1] + (values[-1] * growth[t]**2,)
+        return values
+
+    return drifted
+
 
 NON_FINITE = "error: the trajectory has non-finite values; aborting without output\n"
 
@@ -399,11 +427,13 @@ NON_FINITE = "error: the trajectory has non-finite values; aborting without outp
     ["delta=1e308"],
     ["kappa_a=1e308", "kappa_b=1e308"],
     ["delta=1.7e308", "convention=full"],
-], ids=["detuning", "couplings", "full-convention"])
+    ["delta=1e307"],
+], ids=["detuning", "couplings", "full-convention", "detuning-in-helper-block"])
 def test_overflowing_inputs_exit_3_with_one_line(tmp_path, overrides):
     # math.cos(inf) raises and float ** overflows where numpy gave nan: each
     # case must reach the non-finite line, from the helper's blocks too
-    # (10001 rows), with no traceback and no file.
+    # (10001 rows), with no traceback and no file. At delta=1e307 the phase
+    # E t first overflows near row 2695, in the helper's first block.
     out = tmp_path / "out.csv"
     args = ["simulate", "--figure", "fig1a", "--output", str(out)]
     for item in overrides:
@@ -420,7 +450,7 @@ def test_failed_write_keeps_existing_output(tmp_path, capsys, monkeypatch, fmt):
     out.write_bytes(b"earlier run\n")
     def disk_full(table, fh):
         # A partial write, then the failure.
-        fh.write(cli._format_block(table.blocks[0], table.row, table.sep)[:200])
+        fh.write(cli._format_block(table.values(*table.blocks[0]), table.row, table.sep)[:200])
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(cli._Table, "write", disk_full)
@@ -879,12 +909,12 @@ def assert_writers_match_reference(tmp_path, cfg, table, values=None):
     """
     values = values or table_values(table)
     new, ref = tmp_path / "new", tmp_path / "ref"
-    with cli._table_blocks(len(table), values, cli._CSV_ROW, "") as (_, _, blocks):
-        cli._write_csv(new, blocks)
+    with cli._table_blocks(len(table), values, cli._CSV_ROW, "") as streamed:
+        cli._write_csv(new, streamed)
     reference_csv(ref, table)
     assert new.read_bytes() == ref.read_bytes()
-    with cli._table_blocks(len(table), values, cli._JSON_ROW, cli._JSON_SEP) as (_, _, blocks):
-        cli._write_json(new, cfg, blocks)
+    with cli._table_blocks(len(table), values, cli._JSON_ROW, cli._JSON_SEP) as streamed:
+        cli._write_json(new, cfg, streamed)
     reference_json(ref, cfg, table)
     assert new.read_bytes() == ref.read_bytes()
 
@@ -929,15 +959,37 @@ def test_writers_byte_identical_across_blocks(tmp_path, monkeypatch, rows):
     assert_no_child_left()
 
 
+def no_fork():
+    raise OSError(11, "Resource temporarily unavailable")
+
+
 def test_writers_byte_identical_when_fork_fails(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "BLOCK_ROWS", 64)
-
-    def no_fork():
-        raise OSError(11, "Resource temporarily unavailable")
-
     monkeypatch.setattr(os, "fork", no_fork)
     cfg = parse_run_config(FIG1A_TEXT, {"t_max": str(5 * cli.BLOCK_ROWS), "dt": "1"})
     assert_writers_match_reference(tmp_path, cfg, simulated_table(cfg), cli._row_values(cfg))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_memory_does_not_grow_with_rows(tmp_path, monkeypatch, fmt):
+    # Without a helper this process does every block; each block's values and
+    # text must be gone before the next, so the peak is one block's, whatever the table.
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 64)
+    monkeypatch.setattr(os, "fork", no_fork)
+
+    def peak(blocks):
+        cfg = short_cfg(tmp_path, t_max=blocks * cli.BLOCK_ROWS - 1, dt=1, format=fmt)
+        tracemalloc.start()
+        try:
+            assert run_simulate(cfg) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # CPython keeps up to 2000 freed tuples of each small size for reuse; the
+    # first run fills that cache (up to 400 kB of 20-value rows) once per process.
+    peak(64)
+    assert peak(64) <= 1.5 * peak(2)
 
 
 @pytest.mark.parametrize("failure", ["helper_raises", "helper_status", "parent_fails"])
