@@ -18,11 +18,14 @@ rows is cut into an even number of near-equal blocks; this process does the
 even blocks and one forked helper the odd ones. Each process takes its blocks
 one at a time: it computes the rows, checks them, formats them, then writes
 them (this process) or sends them through a pipe (the helper), so no block's
-values outlive that step and memory does not grow with the table. The first
-block that breaches an invariant ends the run with exit 3, and the drift
-line names that block's largest drift. The file holds the same bytes as from
-one process. There is no option for this. ``verify`` and ``cardinal`` import
-numpy when they run.
+values outlive that step and memory does not grow with the table. Every
+block the helper does not deliver whole, because it found a breach, failed,
+was killed or was never forked (no ``os.fork`` on the platform, or a fork
+the OS refuses), this process does itself: a helper that fails costs time,
+not the run. The first block that breaches an invariant ends the run with
+exit 3, and the drift line names that block's largest drift. The file holds
+the same bytes as from one process. There is no option for this. ``verify``
+and ``cardinal`` import numpy when they run.
 """
 
 from __future__ import annotations
@@ -63,8 +66,6 @@ _JSON_ROW = "{\n" + ",\n".join(f'   "{name}": %r' for name in _FIELDS) + "\n  }"
 _JSON_SEP = ",\n  "
 
 _NON_FINITE = "error: the trajectory has non-finite values; aborting without output"
-#: The kind byte of one of the helper's records: a block's text, or a breach line.
-_TEXT, _BREACH = b"T", b"B"
 
 
 class _Breach(Exception):
@@ -108,55 +109,42 @@ def _format_block(block, row: str, sep: str) -> str:
     return sep.join([row] * (len(block) // len(_FIELDS))) % tuple(block)
 
 
-def _read_exactly(pipe, size: int) -> bytes:
-    """The next ``size`` bytes from the helper; ``OSError`` if it stopped before sending them."""
-    data = pipe.read(size)
-    if len(data) != size:
-        raise OSError(errno.EIO, "the formatting helper stopped early")
-    return data
-
-
-def _receive(pipe) -> str:
-    """The text of the helper's next record; raises :class:`_Breach` on a breach line."""
-    head = _read_exactly(pipe, 9)
-    text = _read_exactly(pipe, int.from_bytes(head[1:], "big")).decode()
-    if head[:1] == _BREACH:
-        raise _Breach(text)
-    return text
+def _receive(pipe) -> str | None:
+    """The text of the helper's next block, or None if the pipe ends before all of it."""
+    head = pipe.read(8)
+    if len(head) == 8:
+        data = pipe.read(int.from_bytes(head, "big"))
+        if len(data) == int.from_bytes(head, "big"):
+            return data.decode()
+    return None
 
 
 def _helper_main(wfd: int, values, bounds, row: str, sep: str) -> None:
-    """The helper: compute, check and format its blocks in turn, sending each as a record.
+    """The helper: compute, check and format its blocks in turn, sending each.
 
-    A record is a kind byte, an 8-byte length, then the text. A breach is
-    sent as its line, and is the helper's last record.
+    A block goes as an 8-byte length, then the text. A breach, like any
+    failure, just ends the helper.
     """
     with open(wfd, "wb") as pipe:
         for start, stop in bounds:
-            try:
-                kind, text = _TEXT, _format_block(values(start, stop), row, sep)
-            except _Breach as exc:
-                kind, text = _BREACH, str(exc)
-            data = text.encode()
-            pipe.write(kind + len(data).to_bytes(8, "big"))
+            data = _format_block(values(start, stop), row, sep).encode()
+            pipe.write(len(data).to_bytes(8, "big"))
             pipe.write(data)
-            if kind == _BREACH:
-                return
+            pipe.flush()  # whole when done: not left in the buffer until the next block
 
 
 @contextlib.contextmanager
 def _format_helper(values, bounds, row: str, sep: str):
     """Fork one process that computes, checks and formats the blocks ``bounds``.
 
-    Yields the pipe its records come through, or None when the fork fails
-    and the caller must do every block itself. A short read raises
-    ``OSError``, and so does a helper that exits with a failing status
-    when the caller is done.
+    Yields the pipe their text comes through, or None when there is no fork
+    (none on the platform, or one the OS refuses). The helper's exit status
+    is not read: the caller does every block the pipe does not deliver.
     """
     rfd, wfd = os.pipe()
     try:
         pid = os.fork()
-    except OSError:
+    except (AttributeError, OSError):
         os.close(rfd)
         os.close(wfd)
         pid = None
@@ -165,13 +153,11 @@ def _format_helper(values, bounds, row: str, sep: str):
         return
     if pid == 0:
         # The helper never returns into the caller.
-        code = 1
         try:
             os.close(rfd)
             _helper_main(wfd, values, bounds, row, sep)
-            code = 0
         finally:
-            os._exit(code)
+            os._exit(0)
     os.close(wfd)
     pipe = open(rfd, "rb")
     try:
@@ -179,20 +165,18 @@ def _format_helper(values, bounds, row: str, sep: str):
     finally:
         # Close before the wait: a helper blocked on a full pipe gets EPIPE.
         pipe.close()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    # Not reached when the caller stops early on an exception (exit 2 or 3).
-    if code:
-        raise OSError(errno.EIO, f"the formatting helper exited with status {code}")
+        os.waitpid(pid, 0)
 
 
 class _Table:
     """A table as the writers take it: its blocks in order, each computed,
     checked and formatted when :meth:`write` reaches it, then dropped.
 
-    ``blocks`` holds the rows (start, stop) of each of this process's blocks
-    and None for each of the helper's, whose text comes through ``helper``,
-    its pipe. ``table[i, j]`` reads or sets value j of row i in one of this
-    process's blocks; a value set replaces the computed one after the check.
+    ``blocks`` holds the rows (start, stop) of each block. With a ``helper``
+    pipe the odd blocks are the helper's: their text comes through it, and
+    this process does those the helper does not deliver. ``table[i, j]``
+    reads or sets value j of row i in one of this process's blocks; a value
+    set replaces the computed one after the check.
     """
 
     def __init__(self, blocks, values, helper, row: str, sep: str, edits=None):
@@ -201,7 +185,8 @@ class _Table:
 
     def _own(self, key) -> tuple[int, int]:
         i, j = key
-        if 0 <= j < len(_FIELDS) and any(b and b[0] <= i < b[1] for b in self.blocks):
+        own = self.blocks if self.helper is None else self.blocks[::2]
+        if 0 <= j < len(_FIELDS) and any(start <= i < stop for start, stop in own):
             return i, j
         raise IndexError(f"no value ({i}, {j}) in this process's blocks")
 
@@ -230,7 +215,8 @@ class _Table:
         for k, bounds in enumerate(self.blocks):
             if k:
                 fh.write(self.sep)
-            fh.write(_receive(self.helper) if bounds is None else self._text(*bounds))
+            text = _receive(self.helper) if self.helper is not None and k % 2 else None
+            fh.write(self._text(*bounds) if text is None else text)
 
 
 @contextlib.contextmanager
@@ -247,8 +233,6 @@ def _table_blocks(rows: int, values, row: str, sep: str):
     if count > 1:
         split = _format_helper(values, bounds[1::2], row, sep)
     with split as helper:
-        if helper is not None:
-            bounds[1::2] = [None] * (count // 2)
         yield _Table(bounds, values, helper, row, sep)
 
 

@@ -2,7 +2,10 @@
 
 Criteria 1-10 assert on the named checks of ``qutrit-bloch verify all``
 (qutrit_bloch.checks), which hold every tolerance, sample and grid: the
-dynamics checks run on the figures' own dt = 0.01 grid. Run with
+dynamics checks run on the figures' own dt = 0.01 grid. Criterion 11 holds
+the CLI's files to two of those checks' bounds (norm and sector drift); its
+own are 1e-11 of column scale against the eigh oracle, 1e-14 on the JSON
+rows and 5 s per run. Run with
 ``pytest -v -s tests/test_acceptance.py`` to see one printed PASS/FAIL line
 per check (plus one line per parameter set for the RK4 criterion).
 
@@ -159,7 +162,11 @@ def reference_table(p, times):
     ])
 
 
-def test_criterion_11_cli_reproduction(cli_runs, cli_tables):
+def test_criterion_11_cli_reproduction(suites, cli_runs, cli_tables):
+    # The file-recomputed deviations are held to verify's own bounds.
+    tolerance = {r.name: r.tolerance for r in suites.results}
+    norm_tol = tolerance["dynamics/bloch-norm-4/3"]
+    sector_tol = tolerance["dynamics/sector-conservation-at-resonance"]
     worst_norm, worst_sector, slowest = 0.0, 0.0, 0.0
     for name, (proc, elapsed, out) in cli_runs.items():
         assert proc.returncode == 0, f"{name}: {proc.stderr}"
@@ -177,14 +184,15 @@ def test_criterion_11_cli_reproduction(cli_runs, cli_tables):
                 float(np.abs(table[:, 17] - s4_0).max()),
                 float(np.abs(table[:, 18] - s2_0).max()),
             )
-    ok = worst_norm <= 1e-9 and worst_sector <= 1e-9
+    ok = worst_norm <= norm_tol and worst_sector <= sector_tol
     report(
         11, ok,
         f"CLI reproduction of 12 figure runs: slowest {slowest:.2f}s,"
-        f" file-recomputed norm dev {worst_norm:.3e}, sector dev {worst_sector:.3e} (tol 1e-09)",
+        f" file-recomputed norm dev {worst_norm:.3e} (tol {norm_tol:g}),"
+        f" sector dev {worst_sector:.3e} (tol {sector_tol:g})",
     )
-    assert worst_norm <= 1e-9
-    assert worst_sector <= 1e-9
+    assert worst_norm <= norm_tol
+    assert worst_sector <= sector_tol
 
 
 def test_criterion_11_json_format_matches(cli_runs, tmp_path):

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import signal
 import stat
 import subprocess
 import sys
@@ -992,46 +993,77 @@ def test_simulate_memory_does_not_grow_with_rows(tmp_path, monkeypatch, fmt):
     assert peak(64) <= 1.5 * peak(2)
 
 
-@pytest.mark.parametrize("failure", ["helper_raises", "helper_status", "parent_fails"])
+@pytest.mark.parametrize("failure", ["helper_raises", "helper_status", "helper_killed",
+                                     "no_fork", "parent_fails"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_failed_helper_keeps_existing_output(tmp_path, capsys, monkeypatch, fmt, failure):
+    # A helper that fails costs time, not the run: this process does every
+    # block the helper did not send, and the file is a clean run's. Only a
+    # failure of this process exits 2 and keeps the file already there.
     out = tmp_path / f"out.{fmt}"
-    out.write_bytes(b"earlier run\n")
-    parent = os.getpid()
-    real = cli._format_block
-
-    def fails_in(pid_matches, exc):
-        def format_block(block, row, sep):
-            if (os.getpid() == parent) == pid_matches:
-                raise exc
-            return real(block, row, sep)
-        return format_block
-
-    if failure == "helper_raises":
-        monkeypatch.setattr(cli, "BLOCK_ROWS", 64)
-        monkeypatch.setattr(cli, "_format_block", fails_in(False, RuntimeError("helper died")))
-        reason = "the formatting helper stopped early"
-        t_max = 1
-    elif failure == "helper_status":
-        # The helper sends every block, then exits with a failing status.
-        monkeypatch.setattr(cli, "BLOCK_ROWS", 64)
-        real_exit = os._exit
-        monkeypatch.setattr(os, "_exit", lambda code: real_exit(3))
-        reason = "the formatting helper exited with status 3"
-        t_max = 1
-    else:
+    if failure == "parent_fails":
         # 10001 rows in 4 blocks: the helper's first block overfills the pipe,
         # so it is blocked writing when this process fails; the failure path
         # must close the pipe before it waits, or it would wait forever.
-        monkeypatch.setattr(cli, "_format_block",
-                            fails_in(True, OSError(28, "No space left on device")))
-        reason = "No space left on device"
-        t_max = 100
-    assert run_simulate(short_cfg(tmp_path, output=out, format=fmt, t_max=t_max)) == 2
-    assert capsys.readouterr().err == write_error(out, reason)
+        cfg = short_cfg(tmp_path, output=out, format=fmt, t_max=100)
+    else:
+        # 301 rows in 6 blocks; the helper sends each of its 3 when it is done.
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 64)
+        cfg = short_cfg(tmp_path, output=out, format=fmt, t_max=3)
+        assert run_simulate(cfg) == 0
+        clean = out.read_bytes()
+    out.write_bytes(b"earlier run\n")
+    capsys.readouterr()
+    parent, real = os.getpid(), cli._format_block
+    formatted, helper_calls = [], []
+
+    def format_block(block, row, sep):
+        if os.getpid() == parent:
+            formatted.append(1)
+            if failure == "parent_fails":
+                raise OSError(28, "No space left on device")
+        else:
+            helper_calls.append(1)
+            if failure == "helper_raises":
+                raise RuntimeError("helper died")
+            if failure == "helper_killed" and len(helper_calls) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return real(block, row, sep)
+
+    monkeypatch.setattr(cli, "_format_block", format_block)
+    if failure == "helper_status":
+        # The helper sends every block, then exits with a failing status.
+        real_exit = os._exit
+        monkeypatch.setattr(os, "_exit", lambda code: real_exit(3))
+    elif failure == "no_fork":
+        monkeypatch.delattr(os, "fork")
+    if failure == "parent_fails":
+        assert run_simulate(cfg) == 2
+        assert capsys.readouterr().err == write_error(out, "No space left on device")
+        assert out.read_bytes() == b"earlier run\n"
+    else:
+        assert run_simulate(cfg) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_bytes() == clean
+        # This process's 3 blocks, and each of the helper's it did not receive.
+        assert len(formatted) == {"helper_status": 3, "helper_killed": 5}.get(failure, 6)
     assert list(tmp_path.iterdir()) == [out]
-    assert out.read_bytes() == b"earlier run\n"
     assert_no_child_left()
+
+
+def test_simulate_without_fork_writes_the_same_bytes(tmp_path):
+    # A platform without os.fork writes on one core, with no traceback.
+    code = ("import os, runpy; del os.fork; "
+            "runpy.run_module('qutrit_bloch.cli', run_name='__main__')")
+    args = ["simulate", "--figure", "fig1a", "--output"]
+    default, no_fork_out = tmp_path / "default.csv", tmp_path / "no_fork.csv"
+    subprocess.run([sys.executable, "-m", "qutrit_bloch.cli", *args, str(default)],
+                   capture_output=True, timeout=60, check=True)
+    result = subprocess.run([sys.executable, "-c", code, *args, str(no_fork_out)],
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, f"wrote 10001 records to {no_fork_out}\n", "")
+    assert no_fork_out.read_bytes() == default.read_bytes()
 
 
 def test_cli_import_starts_no_pool_machinery(tmp_path):
