@@ -13,25 +13,28 @@ non-regular target (a FIFO, a device) is opened and written in place, so it
 can receive part of the table before an exit 2 or 3.
 
 ``simulate`` imports no numpy: each table row comes from
-``model.row_formula`` in plain floats. A table of more than ``BLOCK_ROWS``
-rows is cut into an even number of near-equal blocks; this process does the
-even blocks and one forked helper the odd ones. Each process takes its blocks
-one at a time: it computes the rows, checks them, formats them, then writes
-them (this process) or sends them through a pipe (the helper), so no block's
-values outlive that step and memory does not grow with the table. Every
-block the helper does not deliver whole, because it found a breach, failed,
-was killed or was never forked (no ``os.fork`` on the platform, or a fork
-the OS refuses), this process does itself: a helper that fails costs time,
-not the run. The first block that breaches an invariant ends the run with
-exit 3, and the drift line names that block's largest drift. The file holds
-the same bytes as from one process. There is no option for this. ``verify``
-and ``cardinal`` import numpy when they run.
+``model.row_formula`` in plain floats. The table (``_Table``) owns its
+blocks and its helper: above ``BLOCK_ROWS`` rows it cuts itself into an even
+number of near-equal blocks; this process does the even blocks and one
+helper, forked when the table is opened, the odd ones. Each process takes its
+blocks one at a time: it computes the rows, checks them, formats them, then
+writes them (this process) or sends them through a pipe (the helper), so no
+block's values outlive that step and memory does not grow with the table.
+Every block the helper does not deliver whole, because it found a breach,
+failed, was killed or was never forked (no ``os.fork`` on the platform, or a
+fork the OS refuses), this process does itself: a helper that fails costs
+time, not the run. A value set in the table is applied in any block. The
+first block that breaches an invariant ends the run with exit 3, and the
+drift line names that block's largest drift. The file holds the same bytes
+as from one process. There is no option for this. ``verify`` and
+``cardinal`` import numpy when they run.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import errno
 import json
 import math
@@ -109,86 +112,71 @@ def _format_block(block, row: str, sep: str) -> str:
     return sep.join([row] * (len(block) // len(_FIELDS))) % tuple(block)
 
 
-def _receive(pipe) -> str | None:
-    """The text of the helper's next block, or None if the pipe ends before all of it."""
-    head = pipe.read(8)
-    if len(head) == 8:
-        data = pipe.read(int.from_bytes(head, "big"))
-        if len(data) == int.from_bytes(head, "big"):
-            return data.decode()
-    return None
-
-
-def _helper_main(wfd: int, values, bounds, row: str, sep: str) -> None:
-    """The helper: compute, check and format its blocks in turn, sending each.
-
-    A block goes as an 8-byte length, then the text. A breach, like any
-    failure, just ends the helper.
-    """
-    with open(wfd, "wb") as pipe:
-        for start, stop in bounds:
-            data = _format_block(values(start, stop), row, sep).encode()
-            pipe.write(len(data).to_bytes(8, "big"))
-            pipe.write(data)
-            pipe.flush()  # whole when done: not left in the buffer until the next block
-
-
-@contextlib.contextmanager
-def _format_helper(values, bounds, row: str, sep: str):
-    """Fork one process that computes, checks and formats the blocks ``bounds``.
-
-    Yields the pipe their text comes through, or None when there is no fork
-    (none on the platform, or one the OS refuses). The helper's exit status
-    is not read: the caller does every block the pipe does not deliver.
-    """
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except (AttributeError, OSError):
-        os.close(rfd)
-        os.close(wfd)
-        pid = None
-    if pid is None:
-        yield None
-        return
-    if pid == 0:
-        # The helper never returns into the caller.
-        try:
-            os.close(rfd)
-            _helper_main(wfd, values, bounds, row, sep)
-        finally:
-            os._exit(0)
-    os.close(wfd)
-    pipe = open(rfd, "rb")
-    try:
-        yield pipe
-    finally:
-        # Close before the wait: a helper blocked on a full pipe gets EPIPE.
-        pipe.close()
-        os.waitpid(pid, 0)
-
-
 class _Table:
     """A table as the writers take it: its blocks in order, each computed,
     checked and formatted when :meth:`write` reaches it, then dropped.
 
-    ``blocks`` holds the rows (start, stop) of each block. With a ``helper``
-    pipe the odd blocks are the helper's: their text comes through it, and
-    this process does those the helper does not deliver. ``table[i, j]``
-    reads or sets value j of row i in one of this process's blocks; a value
-    set replaces the computed one after the check.
+    ``values(start, stop)`` gives rows start..stop-1 as one flat sequence of
+    floats; each row is written ``row % values`` and ``sep`` goes between
+    rows. ``blocks`` holds the rows (start, stop) of each block: above
+    ``BLOCK_ROWS`` rows an even number of near-equal blocks. Used as a
+    context manager, the table forks one helper that does the odd blocks
+    and sends their text through a pipe; this process does the even ones and
+    every one the helper does not deliver whole. ``table[i, j]`` reads or
+    sets value j of row i; a value set replaces the computed one after the
+    check, in any block.
     """
 
-    def __init__(self, blocks, values, helper, row: str, sep: str, edits=None):
-        self.blocks, self.values, self.helper, self.row, self.sep = blocks, values, helper, row, sep
-        self.edits = {} if edits is None else edits
+    def __init__(self, rows: int, values, row: str, sep: str):
+        count = 1 if rows <= BLOCK_ROWS else 2 * -(-rows // (2 * BLOCK_ROWS))
+        self.blocks = [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
+        self.values, self.row, self.sep = values, row, sep
+        self.helper = self.pid = None
+        self.edits = {}
+
+    def __enter__(self) -> _Table:
+        """Fork the helper, unless the table is one block or there is no fork
+        (none on the platform, or one the OS refuses). Its exit status is not
+        read: :meth:`write` does every block the pipe does not deliver.
+        """
+        if len(self.blocks) == 1:
+            return self
+        rfd, wfd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except (AttributeError, OSError):
+            os.close(rfd)
+            os.close(wfd)
+            return self
+        if self.pid == 0:
+            # The helper never returns into the caller. A block goes as an
+            # 8-byte length, then the text; a breach, like any failure, just
+            # ends the helper.
+            try:
+                os.close(rfd)
+                with open(wfd, "wb") as pipe:
+                    for start, stop in self.blocks[1::2]:
+                        data = self._text(start, stop).encode()
+                        pipe.write(len(data).to_bytes(8, "big"))
+                        pipe.write(data)
+                        pipe.flush()  # whole when done: not left in the buffer until the next block
+            finally:
+                os._exit(0)
+        os.close(wfd)
+        self.helper = open(rfd, "rb")
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.helper is not None:
+            # Close before the wait: a helper blocked on a full pipe gets EPIPE.
+            self.helper.close()
+            os.waitpid(self.pid, 0)
 
     def _own(self, key) -> tuple[int, int]:
         i, j = key
-        own = self.blocks if self.helper is None else self.blocks[::2]
-        if 0 <= j < len(_FIELDS) and any(start <= i < stop for start, stop in own):
+        if 0 <= i < self.blocks[-1][1] and 0 <= j < len(_FIELDS):
             return i, j
-        raise IndexError(f"no value ({i}, {j}) in this process's blocks")
+        raise IndexError(f"no value ({i}, {j}) in this table")
 
     def __getitem__(self, key) -> float:
         i, j = key = self._own(key)
@@ -199,7 +187,9 @@ class _Table:
 
     def copy(self) -> _Table:
         """A table with a copy of this one's set values and the same helper."""
-        return _Table(self.blocks, self.values, self.helper, self.row, self.sep, dict(self.edits))
+        table = copy.copy(self)
+        table.edits = dict(self.edits)
+        return table
 
     def _text(self, start: int, stop: int) -> str:
         block = self.values(start, stop)
@@ -212,28 +202,21 @@ class _Table:
 
     def write(self, fh) -> None:
         """Write every block's text in order, each ``row % values`` per row, joined by ``sep``."""
-        for k, bounds in enumerate(self.blocks):
+        for k, (start, stop) in enumerate(self.blocks):
             if k:
                 fh.write(self.sep)
-            text = _receive(self.helper) if self.helper is not None and k % 2 else None
-            fh.write(self._text(*bounds) if text is None else text)
-
-
-@contextlib.contextmanager
-def _table_blocks(rows: int, values, row: str, sep: str):
-    """Yield the :class:`_Table` of ``rows`` rows, written ``row`` per row and ``sep`` between.
-
-    ``values(start, stop)`` gives rows start..stop-1 as one flat sequence of
-    floats. Above ``BLOCK_ROWS`` rows the table is cut into an even number
-    of blocks and a forked helper does the odd ones while the table is open.
-    """
-    count = 1 if rows <= BLOCK_ROWS else 2 * -(-rows // (2 * BLOCK_ROWS))
-    bounds = [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
-    split = contextlib.nullcontext()
-    if count > 1:
-        split = _format_helper(values, bounds[1::2], row, sep)
-    with split as helper:
-        yield _Table(bounds, values, helper, row, sep)
+            text = None
+            if self.helper is not None and k % 2:
+                head = self.helper.read(8)
+                if len(head) == 8:
+                    data = self.helper.read(int.from_bytes(head, "big"))
+                    if len(data) == int.from_bytes(head, "big"):
+                        text = data.decode()
+            # A block the helper did not deliver whole, or one holding a set
+            # value (the helper's text lacks it), is done here.
+            if text is None or any(start <= i < stop for i, _ in self.edits):
+                text = self._text(start, stop)
+            fh.write(text)
 
 
 def _write_csv(path: Path, table: _Table) -> None:
@@ -286,7 +269,7 @@ def run_simulate(cfg: RunConfig) -> int:
         target, path = _output_paths(out)
         # A regular target is written beside and renamed over, so a failed
         # write or a breach never leaves a partial file at the output path.
-        with _table_blocks(rows, _row_values(cfg), row, sep) as table:
+        with _Table(rows, _row_values(cfg), row, sep) as table:
             if cfg.output_format == "csv":
                 _write_csv(path, table)
             else:
@@ -444,6 +427,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot write to standard output: {exc.strerror or exc}",
               file=sys.stderr)
+        if sys.stdout is sys.__stdout__:
+            # What is still buffered would fail again at the interpreter's exit flush.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     return code
 

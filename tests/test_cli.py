@@ -777,6 +777,39 @@ def test_failing_stdout_exits_2_with_one_line(tmp_path, capsys, monkeypatch, com
     assert err == "error: cannot write to standard output: No space left on device\n"
 
 
+STDOUT_FAILURES = {"full": "No space left on device", "closed_pipe": "Broken pipe"}
+
+
+@pytest.mark.parametrize("target", STDOUT_FAILURES)
+@pytest.mark.parametrize("command", ["verify", "cardinal", "simulate"])
+def test_failing_stdout_exits_2_with_one_line_at_exit(tmp_path, command, target):
+    # With block-buffered stdout (no PYTHONUNBUFFERED, as in a user's shell)
+    # the text main could not flush is still buffered when the interpreter
+    # exits; flushing it there must not fail a second time.
+    argv = {
+        "verify": ["verify", "algebra"],
+        "cardinal": ["cardinal", "one"],
+        "simulate": ["simulate", "--figure", "fig1a", "--set", "t_max=1",
+                     "--output", str(tmp_path / "out.csv")],
+    }[command]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if target == "full":
+        if not Path("/dev/full").exists():
+            pytest.skip("no /dev/full")
+        stdout = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "qutrit_bloch.cli", *argv], stdout=stdout,
+                                stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(stdout)
+    # stdout is the target that refused every byte, so only stderr can be read.
+    assert (result.returncode, result.stderr) == (
+        2, f"error: cannot write to standard output: {STDOUT_FAILURES[target]}\n")
+
+
 SHORT_FIG1A_TEXT = FIG1A_TEXT.replace("t_max=100", "t_max=1")
 # --output names: any text without a separator; NUL, "." and ".." included.
 _OUTPUT_NAMES = st.text(st.characters(exclude_characters="/"), min_size=1, max_size=80)
@@ -898,7 +931,7 @@ def reference_json(path, cfg, table):
 
 
 def table_values(table):
-    """``values(start, stop)`` of a (rows, 20) array, as ``cli._table_blocks`` reads a table."""
+    """``values(start, stop)`` of a (rows, 20) array, as ``cli._Table`` reads a table."""
     return lambda start, stop: table[start:stop].ravel().tolist()
 
 
@@ -910,11 +943,11 @@ def assert_writers_match_reference(tmp_path, cfg, table, values=None):
     """
     values = values or table_values(table)
     new, ref = tmp_path / "new", tmp_path / "ref"
-    with cli._table_blocks(len(table), values, cli._CSV_ROW, "") as streamed:
+    with cli._Table(len(table), values, cli._CSV_ROW, "") as streamed:
         cli._write_csv(new, streamed)
     reference_csv(ref, table)
     assert new.read_bytes() == ref.read_bytes()
-    with cli._table_blocks(len(table), values, cli._JSON_ROW, cli._JSON_SEP) as streamed:
+    with cli._Table(len(table), values, cli._JSON_ROW, cli._JSON_SEP) as streamed:
         cli._write_json(new, cfg, streamed)
     reference_json(ref, cfg, table)
     assert new.read_bytes() == ref.read_bytes()
@@ -957,6 +990,31 @@ def test_writers_byte_identical_across_blocks(tmp_path, monkeypatch, rows):
     assert table.shape[0] == rows
     assert_writers_match_reference(tmp_path, cfg, table, cli._row_values(cfg))
     assert len(forks) == (0 if rows <= cli.BLOCK_ROWS else 2)
+    assert_no_child_left()
+
+
+def test_value_set_in_a_helper_block_is_written(tmp_path, monkeypatch):
+    # 256 rows in 4 blocks of 64; row 100 is in block 1, the helper's. The
+    # helper's text for it lacks the value, so this process redoes that block.
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 64)
+    forks = count_forks(monkeypatch)
+    for fmt, writer in (("csv", cli._write_csv), ("json", cli._write_json)):
+        def altered(*args, writer=writer):  # the table is the writers' last argument
+            table = args[-1].copy()
+            table[100, 4] += 1e-7
+            writer(*args[:-1], table)
+
+        monkeypatch.setattr(cli, f"_write_{fmt}", altered)
+        cfg = short_cfg(tmp_path, t_max=255, dt=1, format=fmt, output=tmp_path / "new")
+        assert run_simulate(cfg) == 0
+        table = simulated_table(cfg)
+        table[100, 4] += 1e-7
+        if fmt == "csv":
+            reference_csv(tmp_path / "ref", table)
+        else:
+            reference_json(tmp_path / "ref", cfg, table)
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
+    assert len(forks) == 2
     assert_no_child_left()
 
 
