@@ -16,18 +16,18 @@ can receive part of the table before an exit 2 or 3.
 ``model.row_formula`` in plain floats. The table (``_Table``) owns its
 blocks and its helper: above ``BLOCK_ROWS`` rows it cuts itself into an even
 number of near-equal blocks; this process does the even blocks and one
-helper, forked when the table is opened, the odd ones. Each process takes its
+helper, forked when the table is written, the odd ones. Each process takes its
 blocks one at a time: it computes the rows, checks them, formats them, then
 writes them (this process) or sends them through a pipe (the helper), so no
 block's values outlive that step and memory does not grow with the table.
 Every block the helper does not deliver whole, because it found a breach,
 failed, was killed or was never forked (no ``os.fork`` on the platform, or a
 fork the OS refuses), this process does itself: a helper that fails costs
-time, not the run. A value set in the table is applied in any block. The
-first block that breaches an invariant ends the run with exit 3, and the
-drift line names that block's largest drift. The file holds the same bytes
-as from one process. There is no option for this. ``verify`` and
-``cardinal`` import numpy when they run.
+time, not the run. A value set in the table is part of its values, so the
+helper's blocks carry it too. The first block that breaches an invariant
+ends the run with exit 3, and the drift line names that block's largest
+drift. The file holds the same bytes as from one process. There is no
+option for this. ``verify`` and ``cardinal`` import numpy when they run.
 """
 
 from __future__ import annotations
@@ -119,104 +119,97 @@ class _Table:
     ``values(start, stop)`` gives rows start..stop-1 as one flat sequence of
     floats; each row is written ``row % values`` and ``sep`` goes between
     rows. ``blocks`` holds the rows (start, stop) of each block: above
-    ``BLOCK_ROWS`` rows an even number of near-equal blocks. Used as a
-    context manager, the table forks one helper that does the odd blocks
-    and sends their text through a pipe; this process does the even ones and
-    every one the helper does not deliver whole. ``table[i, j]`` reads or
-    sets value j of row i; a value set replaces the computed one after the
-    check, in any block.
+    ``BLOCK_ROWS`` rows an even number of near-equal blocks. :meth:`write`
+    forks one helper that does the odd blocks and sends their text through a
+    pipe; this process does the even ones and every one the helper does not
+    deliver whole. ``table[i, j]`` reads or sets value j of row i; a value
+    set becomes part of ``values``, after the check, so the helper forked
+    from this table writes it too.
     """
 
     def __init__(self, rows: int, values, row: str, sep: str):
         count = 1 if rows <= BLOCK_ROWS else 2 * -(-rows // (2 * BLOCK_ROWS))
         self.blocks = [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
         self.values, self.row, self.sep = values, row, sep
-        self.helper = self.pid = None
-        self.edits = {}
-
-    def __enter__(self) -> _Table:
-        """Fork the helper, unless the table is one block or there is no fork
-        (none on the platform, or one the OS refuses). Its exit status is not
-        read: :meth:`write` does every block the pipe does not deliver.
-        """
-        if len(self.blocks) == 1:
-            return self
-        rfd, wfd = os.pipe()
-        try:
-            self.pid = os.fork()
-        except (AttributeError, OSError):
-            os.close(rfd)
-            os.close(wfd)
-            return self
-        if self.pid == 0:
-            # The helper never returns into the caller. A block goes as an
-            # 8-byte length, then the text; a breach, like any failure, just
-            # ends the helper.
-            try:
-                os.close(rfd)
-                with open(wfd, "wb") as pipe:
-                    for start, stop in self.blocks[1::2]:
-                        data = self._text(start, stop).encode()
-                        pipe.write(len(data).to_bytes(8, "big"))
-                        pipe.write(data)
-                        pipe.flush()  # whole when done: not left in the buffer until the next block
-            finally:
-                os._exit(0)
-        os.close(wfd)
-        self.helper = open(rfd, "rb")
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.helper is not None:
-            # Close before the wait: a helper blocked on a full pipe gets EPIPE.
-            self.helper.close()
-            os.waitpid(self.pid, 0)
-
-    def _own(self, key) -> tuple[int, int]:
-        i, j = key
-        if 0 <= i < self.blocks[-1][1] and 0 <= j < len(_FIELDS):
-            return i, j
-        raise IndexError(f"no value ({i}, {j}) in this table")
 
     def __getitem__(self, key) -> float:
-        i, j = key = self._own(key)
-        return self.edits[key] if key in self.edits else self.values(i, i + 1)[j]
+        i, j = key
+        if 0 <= i < self.blocks[-1][1] and 0 <= j < len(_FIELDS):
+            return self.values(i, i + 1)[j]
+        raise IndexError(f"no value ({i}, {j}) in this table")
 
     def __setitem__(self, key, value: float) -> None:
-        self.edits[self._own(key)] = value
+        self[key]  # an IndexError for a key outside the table
+        (i, j), values = key, self.values
+
+        def edited(start: int, stop: int):
+            block = values(start, stop)
+            if start <= i < stop:
+                block = list(block)
+                block[(i - start) * len(_FIELDS) + j] = value
+            return block
+
+        self.values = edited
 
     def copy(self) -> _Table:
-        """A table with a copy of this one's set values and the same helper."""
-        table = copy.copy(self)
-        table.edits = dict(self.edits)
-        return table
+        """A table whose set values are its own."""
+        return copy.copy(self)
 
     def _text(self, start: int, stop: int) -> str:
-        block = self.values(start, stop)
-        if self.edits:
-            block = list(block)
-            for (i, j), value in self.edits.items():
-                if start <= i < stop:
-                    block[(i - start) * len(_FIELDS) + j] = value
-        return _format_block(block, self.row, self.sep)
+        return _format_block(self.values(start, stop), self.row, self.sep)
 
     def write(self, fh) -> None:
-        """Write every block's text in order, each ``row % values`` per row, joined by ``sep``."""
-        for k, (start, stop) in enumerate(self.blocks):
-            if k:
-                fh.write(self.sep)
-            text = None
-            if self.helper is not None and k % 2:
-                head = self.helper.read(8)
-                if len(head) == 8:
-                    data = self.helper.read(int.from_bytes(head, "big"))
-                    if len(data) == int.from_bytes(head, "big"):
-                        text = data.decode()
-            # A block the helper did not deliver whole, or one holding a set
-            # value (the helper's text lacks it), is done here.
-            if text is None or any(start <= i < stop for i, _ in self.edits):
-                text = self._text(start, stop)
-            fh.write(text)
+        """Write every block's text in order, each ``row % values`` per row, joined by ``sep``.
+
+        Above one block, fork the helper first, unless there is no fork (none
+        on the platform, or one the OS refuses). Its exit status is not read:
+        every block the pipe does not deliver whole is done here.
+        """
+        helper = None
+        if len(self.blocks) > 1:
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except (AttributeError, OSError):
+                os.close(rfd)
+                os.close(wfd)
+            else:
+                if pid == 0:
+                    # The helper never returns into the caller. A block goes as
+                    # an 8-byte length, then the text; a breach, like any
+                    # failure, just ends the helper.
+                    try:
+                        os.close(rfd)
+                        with open(wfd, "wb") as pipe:
+                            for start, stop in self.blocks[1::2]:
+                                data = self._text(start, stop).encode()
+                                pipe.write(len(data).to_bytes(8, "big"))
+                                pipe.write(data)
+                                # Whole when done: not left in the buffer until the next block.
+                                pipe.flush()
+                    finally:
+                        os._exit(0)
+                os.close(wfd)
+                helper = open(rfd, "rb")
+        try:
+            for k, (start, stop) in enumerate(self.blocks):
+                if k:
+                    fh.write(self.sep)
+                text = None
+                if helper is not None and k % 2:
+                    head = helper.read(8)
+                    if len(head) == 8:
+                        data = helper.read(int.from_bytes(head, "big"))
+                        if len(data) == int.from_bytes(head, "big"):
+                            text = data.decode()
+                fh.write(self._text(start, stop) if text is None else text)
+        finally:
+            if helper is not None:
+                # Close before the wait: a helper blocked on a full pipe gets
+                # EPIPE. With SIGCHLD ignored the kernel has reaped it already.
+                helper.close()
+                with contextlib.suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
 
 
 def _write_csv(path: Path, table: _Table) -> None:
@@ -269,11 +262,11 @@ def run_simulate(cfg: RunConfig) -> int:
         target, path = _output_paths(out)
         # A regular target is written beside and renamed over, so a failed
         # write or a breach never leaves a partial file at the output path.
-        with _Table(rows, _row_values(cfg), row, sep) as table:
-            if cfg.output_format == "csv":
-                _write_csv(path, table)
-            else:
-                _write_json(path, cfg, table)
+        table = _Table(rows, _row_values(cfg), row, sep)
+        if cfg.output_format == "csv":
+            _write_csv(path, table)
+        else:
+            _write_json(path, cfg, table)
         if path != target:
             os.replace(path, target)
     except _Breach as exc:
@@ -423,11 +416,13 @@ def main(argv: list[str] | None = None) -> int:
     # Output files report their own write errors; what is left is stdout.
     try:
         code = _run(args)
+        if sys.stdout is None:  # fd 1 was closed at start-up
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         sys.stdout.flush()
     except OSError as exc:
         print(f"error: cannot write to standard output: {exc.strerror or exc}",
               file=sys.stderr)
-        if sys.stdout is sys.__stdout__:
+        if sys.stdout is sys.__stdout__ is not None:
             # What is still buffered would fail again at the interpreter's exit flush.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2

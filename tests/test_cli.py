@@ -777,7 +777,8 @@ def test_failing_stdout_exits_2_with_one_line(tmp_path, capsys, monkeypatch, com
     assert err == "error: cannot write to standard output: No space left on device\n"
 
 
-STDOUT_FAILURES = {"full": "No space left on device", "closed_pipe": "Broken pipe"}
+STDOUT_FAILURES = {"full": "No space left on device", "closed_pipe": "Broken pipe",
+                   "closed": "Bad file descriptor"}
 
 
 @pytest.mark.parametrize("target", STDOUT_FAILURES)
@@ -793,16 +794,22 @@ def test_failing_stdout_exits_2_with_one_line_at_exit(tmp_path, command, target)
                      "--output", str(tmp_path / "out.csv")],
     }[command]
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    launch = [sys.executable, "-m", "qutrit_bloch.cli", *argv]
     if target == "full":
         if not Path("/dev/full").exists():
             pytest.skip("no /dev/full")
         stdout = os.open("/dev/full", os.O_WRONLY)
-    else:
+    elif target == "closed_pipe":
         read_end, stdout = os.pipe()
         os.close(read_end)
+    else:
+        # fd 1 closed before the CLI starts, as by `>&-`: sys.stdout is None.
+        stdout = os.open(os.devnull, os.O_WRONLY)
+        launch = [sys.executable, "-c", "import os, sys; os.close(1); "
+                  "os.execv(sys.executable, sys.argv[1:])", *launch]
     try:
-        result = subprocess.run([sys.executable, "-m", "qutrit_bloch.cli", *argv], stdout=stdout,
-                                stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        result = subprocess.run(launch, stdout=stdout, stderr=subprocess.PIPE, text=True,
+                                env=env, timeout=60)
     finally:
         os.close(stdout)
     # stdout is the target that refused every byte, so only stderr can be read.
@@ -943,12 +950,10 @@ def assert_writers_match_reference(tmp_path, cfg, table, values=None):
     """
     values = values or table_values(table)
     new, ref = tmp_path / "new", tmp_path / "ref"
-    with cli._Table(len(table), values, cli._CSV_ROW, "") as streamed:
-        cli._write_csv(new, streamed)
+    cli._write_csv(new, cli._Table(len(table), values, cli._CSV_ROW, ""))
     reference_csv(ref, table)
     assert new.read_bytes() == ref.read_bytes()
-    with cli._Table(len(table), values, cli._JSON_ROW, cli._JSON_SEP) as streamed:
-        cli._write_json(new, cfg, streamed)
+    cli._write_json(new, cfg, cli._Table(len(table), values, cli._JSON_ROW, cli._JSON_SEP))
     reference_json(ref, cfg, table)
     assert new.read_bytes() == ref.read_bytes()
 
@@ -995,9 +1000,19 @@ def test_writers_byte_identical_across_blocks(tmp_path, monkeypatch, rows):
 
 def test_value_set_in_a_helper_block_is_written(tmp_path, monkeypatch):
     # 256 rows in 4 blocks of 64; row 100 is in block 1, the helper's. The
-    # helper's text for it lacks the value, so this process redoes that block.
+    # helper is forked from the edited table, so it writes the value itself
+    # and this process formats only its own blocks 0 and 2.
     monkeypatch.setattr(cli, "BLOCK_ROWS", 64)
     forks = count_forks(monkeypatch)
+    parent, real = os.getpid(), cli._format_block
+    formatted = []
+
+    def format_block(block, row, sep):
+        if os.getpid() == parent:
+            formatted.append(1)
+        return real(block, row, sep)
+
+    monkeypatch.setattr(cli, "_format_block", format_block)
     for fmt, writer in (("csv", cli._write_csv), ("json", cli._write_json)):
         def altered(*args, writer=writer):  # the table is the writers' last argument
             table = args[-1].copy()
@@ -1006,7 +1021,9 @@ def test_value_set_in_a_helper_block_is_written(tmp_path, monkeypatch):
 
         monkeypatch.setattr(cli, f"_write_{fmt}", altered)
         cfg = short_cfg(tmp_path, t_max=255, dt=1, format=fmt, output=tmp_path / "new")
+        formatted.clear()
         assert run_simulate(cfg) == 0
+        assert len(formatted) == 2
         table = simulated_table(cfg)
         table[100, 4] += 1e-7
         if fmt == "csv":
@@ -1110,18 +1127,24 @@ def test_failed_helper_keeps_existing_output(tmp_path, capsys, monkeypatch, fmt,
 
 
 def test_simulate_without_fork_writes_the_same_bytes(tmp_path):
-    # A platform without os.fork writes on one core, with no traceback.
-    code = ("import os, runpy; del os.fork; "
-            "runpy.run_module('qutrit_bloch.cli', run_name='__main__')")
+    # A platform without os.fork writes on one core, with no traceback. With
+    # SIGCHLD ignored (as a launcher's setting is, across exec), the kernel
+    # reaps the helper itself and the wait for it finds no child; the run is
+    # unchanged.
     args = ["simulate", "--figure", "fig1a", "--output"]
-    default, no_fork_out = tmp_path / "default.csv", tmp_path / "no_fork.csv"
+    default = tmp_path / "default.csv"
     subprocess.run([sys.executable, "-m", "qutrit_bloch.cli", *args, str(default)],
                    capture_output=True, timeout=60, check=True)
-    result = subprocess.run([sys.executable, "-c", code, *args, str(no_fork_out)],
-                            capture_output=True, text=True, timeout=60)
-    assert (result.returncode, result.stdout, result.stderr) == (
-        0, f"wrote 10001 records to {no_fork_out}\n", "")
-    assert no_fork_out.read_bytes() == default.read_bytes()
+    for name, preamble in (("no_fork", "del os.fork"),
+                           ("sigchld_ignored", "signal.signal(signal.SIGCHLD, signal.SIG_IGN)")):
+        code = (f"import os, runpy, signal; {preamble}; "
+                "runpy.run_module('qutrit_bloch.cli', run_name='__main__')")
+        out = tmp_path / f"{name}.csv"
+        result = subprocess.run([sys.executable, "-c", code, *args, str(out)],
+                                capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            0, f"wrote 10001 records to {out}\n", "")
+        assert out.read_bytes() == default.read_bytes()
 
 
 def test_cli_import_starts_no_pool_machinery(tmp_path):
