@@ -48,7 +48,7 @@ SECTOR_SAMPLES = 200
 #: point of it.
 _FIGURE_RUN = figures.load_figure("fig1a")
 T_MAX, DT = _FIGURE_RUN.t_max, _FIGURE_RUN.dt
-FIGURE_GRID = config.simulation_grid(_FIGURE_RUN)
+FIGURE_GRID = np.arange(config.grid_rows(T_MAX, DT)) * DT
 FIGURE_GRID.setflags(write=False)  # shared by every caller; trajectories keep it as their times
 
 #: RK4 steps dt and is compared with the exact propagator on every

@@ -162,17 +162,20 @@ class _Table:
         """Write every block's text in order, each ``row % values`` per row, joined by ``sep``.
 
         Above one block, fork the helper first, unless there is no fork (none
-        on the platform, or one the OS refuses). Its exit status is not read:
-        every block the pipe does not deliver whole is done here.
+        on the platform, or one the OS refuses); anything else the fork raises
+        closes the pipe and propagates. Its exit status is not read: every
+        block the pipe does not deliver whole is done here.
         """
         helper = None
         if len(self.blocks) > 1:
             rfd, wfd = os.pipe()
             try:
                 pid = os.fork()
-            except (AttributeError, OSError):
+            except BaseException as exc:
                 os.close(rfd)
                 os.close(wfd)
+                if not isinstance(exc, (AttributeError, OSError)):
+                    raise
             else:
                 if pid == 0:
                     # The helper never returns into the caller. A block goes as

@@ -25,6 +25,8 @@ normalized, |c0|^2 within 1e-12 of 1 (``model.check_normalized``); they
 are never renormalized silently. An output path the OS cannot take (a NUL
 byte, an unencodable character) is refused here; any other output the OS
 refuses to create is refused by ``cli.run_simulate`` before any work.
+
+This module imports no numpy, at any depth: ``simulate`` runs without it.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "parse_run_config",
     "render_run_config",
     "run_config_dict",
-    "simulation_grid",
 ]
 
 #: Largest simulation grid a run may ask for, in rows: 100x the 10001 rows
@@ -98,17 +99,6 @@ def grid_rows(t_max: float, dt: float) -> int:
             f"t_max/dt = {steps:.3g} asks for more than {MAX_GRID_ROWS} grid rows"
         )
     return math.floor(steps) + 1
-
-
-def simulation_grid(cfg: RunConfig):
-    """Uniform grid 0, dt, 2 dt, ... up to (and including) t_max, as a numpy array.
-
-    Row i is at ``i * dt``, the time ``simulate`` gives row i; numpy is
-    imported here, for the callers that want the grid as an array.
-    """
-    import numpy as np
-
-    return np.arange(grid_rows(cfg.t_max, cfg.dt)) * cfg.dt
 
 
 def _raw_pairs(text: str) -> dict[str, tuple[str, int]]:

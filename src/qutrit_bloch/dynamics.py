@@ -86,7 +86,7 @@ def propagate_exact(p: SimParams, times: np.ndarray) -> np.ndarray:
         energies, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # unreachable for finite symmetric input
         raise ArithmeticError(f"eigendecomposition failed: {exc}") from exc
-    weights = vectors.T @ p.c0_array
+    weights = vectors.T @ np.array(p.c0)
     phases = np.exp(-1j * np.outer(times, energies))
     return (phases * weights) @ vectors.T
 
@@ -249,7 +249,7 @@ def integrate_bloch_ode(p: SimParams, times: np.ndarray, dt: float) -> Trajector
     k4 = m @ (eye + dt * k3)
     step = eye + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     powers: dict[int, np.ndarray] = {}
-    n = bloch_from_amplitudes(p.c0_array)
+    n = bloch_from_amplitudes(np.array(p.c0))
     out = np.empty((times.size, 8))
     out[0] = n
     for i, count in enumerate(steps.tolist()):
@@ -265,12 +265,13 @@ def rk4_error_estimate(p: SimParams, dt: float, t_max: float) -> tuple[float, fl
 
     The eigenvalues of the adjoint generator M are +-i (E_i - E_j) and zeros,
     with E the eigenvalues of the rotating Hamiltonian, so the spectral
-    radius rho(M) is E_max - E_min. The error is the per-step defect
-    (rho(M) dt)^5 / 120 times the step count (docs/derivation_notes.md,
-    section 9).
+    radius rho(M) is E_max - E_min, read from :func:`model.eigenpairs`, the
+    spectrum ``simulate``'s rows are built from. The error is the per-step
+    defect (rho(M) dt)^5 / 120 times the step count
+    (docs/derivation_notes.md, section 9).
     """
-    energies = np.linalg.eigvalsh(rotating_hamiltonian(p))
-    theta = float(energies[-1] - energies[0]) * dt
+    (e_min, _, e_max), _ = model.eigenpairs(model.hamiltonian(p))
+    theta = (e_max - e_min) * dt
     return theta, (t_max / dt) * theta**5 / 120.0
 
 
@@ -283,7 +284,7 @@ def sector_initial_norms(p: SimParams) -> tuple[float, float]:
     :class:`ConsistencyError` if the evaluated polynomials pick up an
     imaginary residue above 1e-10.
     """
-    s4, s2 = _sector_polynomials(p.config, p.c0_array[None])
+    s4, s2 = _sector_polynomials(p.config, np.array([p.c0]))
     return float(s4[0]), float(s2[0])
 
 

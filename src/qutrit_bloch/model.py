@@ -1,10 +1,10 @@
 """The simulation model in plain Python floats.
 
-Everything ``simulate`` needs to compute a table lives here, and none of it
-imports numpy: the run parameters, the rotating-frame Hamiltonian, its
-eigenpairs (a cyclic Jacobi solver), the adjoint generator M from the
-structure constants, the sector index sets, and the formula of one table
-row. A row's bits depend only on libm's ``cos`` and ``sin``: the rest is
+Everything ``simulate`` needs to compute a table lives here, and this module
+imports no numpy, at any depth: the run parameters, the rotating-frame
+Hamiltonian, its eigenpairs (a cyclic Jacobi solver), the adjoint generator M
+from the structure constants, the sector index sets, and the formula of one
+table row. A row's bits depend only on libm's ``cos`` and ``sin``: the rest is
 ``+ - * /`` and ``sqrt``, which IEEE arithmetic rounds alike everywhere.
 
 Also here, because the command line needs them before it imports numpy:
@@ -144,13 +144,6 @@ class SimParams:
             raise ValueError(f"amplitude triple must have shape (3,), got ({len(c0)},)")
         check_normalized(c0)
         object.__setattr__(self, "c0", c0)
-
-    @property
-    def c0_array(self):
-        """``c0`` as a numpy complex array (imports numpy)."""
-        import numpy as np
-
-        return np.array(self.c0, dtype=complex)
 
     @property
     def coupling_gain(self) -> float:

@@ -1,4 +1,5 @@
 import __future__
+import contextlib
 import dataclasses
 import inspect
 import itertools
@@ -13,6 +14,7 @@ import sys
 import tempfile
 import textwrap
 import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -39,7 +41,6 @@ from qutrit_bloch.config import (
     parse_run_config,
     render_run_config,
     run_config_dict,
-    simulation_grid,
 )
 from qutrit_bloch.dynamics import Configuration
 from qutrit_bloch.figures import FIGURE_NAMES, figure_config_text, load_figure, parameter_sets
@@ -277,12 +278,13 @@ def test_figures_share_the_verify_grid():
     cfgs = [load_figure(name) for name in FIGURE_NAMES]
     assert {(cfg.t_max, cfg.dt) for cfg in cfgs} == {(checks.T_MAX, checks.DT)}
     for cfg in cfgs:
-        assert np.array_equal(simulation_grid(cfg), checks.FIGURE_GRID)
+        grid = np.arange(grid_rows(cfg.t_max, cfg.dt)) * cfg.dt
+        assert np.array_equal(grid, checks.FIGURE_GRID)
 
 
 def test_simulation_grid_row_count():
     cfg = parse_run_config(FIG1A_TEXT)
-    assert simulation_grid(cfg).size == 10001
+    assert grid_rows(cfg.t_max, cfg.dt) == 10001
     at_cap = parse_run_config(FIG1A_TEXT, {"t_max": str(MAX_GRID_ROWS - 1), "dt": "1"})
     assert grid_rows(at_cap.t_max, at_cap.dt) == MAX_GRID_ROWS
 
@@ -1044,6 +1046,44 @@ def test_writers_byte_identical_when_fork_fails(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     cfg = parse_run_config(FIG1A_TEXT, {"t_max": str(5 * cli.BLOCK_ROWS), "dt": "1"})
     assert_writers_match_reference(tmp_path, cfg, simulated_table(cfg), cli._row_values(cfg))
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").exists(), reason="reads /proc/self/fd")
+def test_exception_from_fork_closes_the_pipe(tmp_path, monkeypatch):
+    # CPython 3.12 may raise a DeprecationWarning (an error under -W error)
+    # from a fork that has happened, in a process with other threads. The
+    # pipe must not outlive the raise: the helper then gets EPIPE and exits.
+    # 640 rows in 10 blocks: the helper's 5 overfill the pipe if it stays open.
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 64)
+    real, helpers, reaped = os.fork, [], []
+
+    def fork():
+        pid = real()
+        if pid == 0:
+            return 0
+        helpers.append(pid)
+        raise DeprecationWarning("fork in a process with other threads")
+
+    monkeypatch.setattr(os, "fork", fork)
+    cfg = short_cfg(tmp_path, t_max=639, dt=1)
+    table = cli._Table(640, cli._row_values(cfg), cli._CSV_ROW, "")
+    fds = len(os.listdir("/proc/self/fd"))
+    try:
+        with pytest.raises(DeprecationWarning):
+            cli._write_csv(tmp_path / "out.csv", table)
+        assert len(os.listdir("/proc/self/fd")) == fds
+        deadline = time.monotonic() + 10
+        while not reaped and time.monotonic() < deadline:
+            pid, status = os.waitpid(helpers[0], os.WNOHANG)
+            if pid:
+                reaped.append(status)
+            time.sleep(0.01)
+        assert [os.waitstatus_to_exitcode(status) for status in reaped] == [0]
+    finally:
+        if helpers and not reaped:  # still blocked on an open pipe: killed, then reaped
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(helpers[0], signal.SIGKILL)
+            os.waitpid(helpers[0], 0)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

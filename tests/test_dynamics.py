@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from qutrit_bloch import checks, dynamics, figures
+from qutrit_bloch import checks, dynamics, figures, model
 from qutrit_bloch.checks import lambda_generator_reference
 from qutrit_bloch.dynamics import (
     Configuration,
@@ -87,7 +87,7 @@ def test_full_convention_doubles_couplings():
 def test_propagate_identity_at_t0():
     p = params(FIG_LAMBDA, delta=0.2)
     amps = propagate_exact(p, np.array([0.0]))
-    assert np.abs(amps[0] - p.c0_array).max() <= 1e-15
+    assert np.abs(amps[0] - np.array(p.c0)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("base", [FIG_LAMBDA, FIG_VEE, FIG_XI])
@@ -111,7 +111,7 @@ def test_lambda_rabi_return():
 def test_closed_form_initial_condition_and_oracle_agreement():
     for delta in (0.0, 0.2, 1.2):
         p = params(FIG_LAMBDA, delta=delta)
-        assert np.abs(lambda_closed_form(p, 0.0) - p.c0_array).max() <= 1e-15
+        assert np.abs(lambda_closed_form(p, 0.0) - np.array(p.c0)).max() <= 1e-15
         times = np.array([1.0, 5.0, 25.0, 77.3])
         exact = propagate_exact(p, times)
         assert np.abs(lambda_closed_form(p, times) - exact).max() <= 1e-9
@@ -226,7 +226,7 @@ def test_integrate_converges_on_stiff_ladder():
 def reference_rk4(p, times, dt):
     """The per-step RK4 loop that the step-matrix powers must reproduce."""
     m = adjoint_generator(p)
-    n = bloch_from_amplitudes(p.c0_array)
+    n = bloch_from_amplitudes(np.array(p.c0))
     out = [n]
     for count in np.rint(np.diff(times) / dt).astype(int):
         for _ in range(count):
@@ -353,10 +353,10 @@ def test_sector_initial_norms_scalar_shape_and_consistency_error(monkeypatch):
     p = params(FIG_VEE, c0=(0.6, 0.48j, 0.64))
     s4, s2 = sector_initial_norms(p)
     assert type(s4) is float and type(s2) is float
-    batch4, batch2 = dynamics._sector_polynomials(p.config, np.array([p.c0_array] * 3))
+    batch4, batch2 = dynamics._sector_polynomials(p.config, np.array([p.c0] * 3))
     assert batch4.shape == batch2.shape == (3,)
     assert np.all(batch4 == s4) and np.all(batch2 == s2)
-    nan_row = np.array([p.c0_array] * 3)
+    nan_row = np.array([p.c0] * 3)
     nan_row[1, 0] = np.nan
     with pytest.raises(ConsistencyError, match=r"sector norms not real \(residue nan\)"):
         dynamics._sector_polynomials(p.config, nan_row)
@@ -370,6 +370,8 @@ def test_rk4_error_estimate_matches_generator_spectrum(label):
     p = figures.parameter_sets()[label]
     radius = float(np.abs(np.linalg.eigvals(adjoint_generator(p))).max())
     theta, estimate = rk4_error_estimate(p, checks.DT, checks.T_MAX)
+    (e1, _, e3), _ = model.eigenpairs(model.hamiltonian(p))
+    assert theta == (e3 - e1) * checks.DT  # the spectrum simulate's rows are built from
     assert abs(theta / checks.DT - radius) <= 1e-12 * radius
     assert estimate == (checks.T_MAX / checks.DT) * theta**5 / 120.0
 

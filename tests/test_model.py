@@ -1,6 +1,8 @@
+import ast
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +86,23 @@ def test_command_line_modules_import_no_numpy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             timeout=60, check=True)
     assert result.stdout == "False\n"
+
+
+def test_command_line_modules_hold_no_numpy_import():
+    # At any depth: a numpy import inside a function would load numpy on a
+    # later call, which the import-time check above does not see.
+    package = Path(model.__file__).parent
+    found = []
+    for name in ("__init__", "cli", "config", "figures", "model"):
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += [(name, node.lineno) for m in modules if m.split(".")[0] == "numpy"]
+    assert found == []
 
 
 def test_every_public_name_resolves():
