@@ -19,15 +19,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import config, dynamics, figures, states, su3
+from . import config, dynamics, figures, model, states, su3
 from .model import F_REFERENCE
 
 __all__ = [
     "CheckResult",
+    "KERNEL_TOL",
     "SCOPES",
     "SuiteReport",
     "algebra_suite",
     "dynamics_suite",
+    "kernel_deviation",
     "rk4_deviation",
     "state_suite",
     "run_suites",
@@ -55,6 +57,10 @@ FIGURE_GRID.setflags(write=False)  # shared by every caller; trajectories keep i
 #: RK4_STRIDE-th grid point (a 0.5 grid).
 RK4_STRIDE = 50
 RK4_TOL = 1e-6
+
+#: ``simulate``'s rows (``model.row_formula``) against the numpy oracle, as a
+#: fraction of each column's scale; see kernel_deviation.
+KERNEL_TOL = 1e-11
 
 #: Keep RK4 cross-checks only where the predicted accumulated error is
 #: comfortably below the tolerance; see dynamics_suite.
@@ -309,14 +315,40 @@ def rk4_deviation(p: dynamics.SimParams) -> float:
     return float(np.abs(rk.bloch - exact.bloch).max())
 
 
+def kernel_deviation(p: dynamics.SimParams, times: np.ndarray, rows) -> float:
+    """Largest deviation of the table ``rows`` (N, 20) from the numpy oracle on ``times``.
+
+    The oracle is independent of the plain-float row formula ``simulate``
+    writes: n from ``bloch_trajectory`` (LAPACK's eigh, complex exp), dn = M n
+    with M from the einsum of the Gell-Mann coefficients with the derived f
+    table, and numpy sums for the sector norms and |n|^2. Each column's
+    deviation is divided by its own scale, its largest oracle magnitude but at
+    least 1.
+    """
+    bloch = dynamics.bloch_trajectory(p, times).bloch
+    h = su3.gellmann_coefficients(dynamics.rotating_hamiltonian(p))[1:]
+    m = 2.0 * np.einsum("j,jlk->kl", h, su3.structure_constants().f)
+    set4, set2 = (np.array(s) - 1 for s in dynamics.sector_index_sets(p.config))
+    reference = np.column_stack([
+        times, bloch, bloch @ m.T, (bloch[:, set4] ** 2).sum(axis=1),
+        (bloch[:, set2] ** 2).sum(axis=1), np.einsum("ij,ij->i", bloch, bloch),
+    ])
+    scale = np.maximum(np.abs(reference).max(axis=0), 1.0)
+    return float((np.abs(np.asarray(rows) - reference) / scale).max())
+
+
 def dynamics_suite() -> SuiteReport:
     report = SuiteReport()
     sets = figures.parameter_sets()
 
     unit = norm = antisym = sector_dev = closed_dev = off_dev = generator_dev = worst_rk4 = 0.0
+    kernel = 0.0
+    rk4_grid = FIGURE_GRID[::RK4_STRIDE]
     # One figure run at a time: all seven on this grid would hold 14 MB.
     for label, p in sets.items():
         traj = dynamics.bloch_trajectory(p, FIGURE_GRID)
+        row = model.row_formula(p)  # read through the module, so tests can patch it
+        kernel = max(kernel, kernel_deviation(p, rk4_grid, [row(t) for t in rk4_grid.tolist()]))
         unit = max(unit, np.abs((np.abs(traj.amplitudes) ** 2).sum(axis=1) - 1.0).max())
         norm = max(norm, np.abs((traj.bloch**2).sum(axis=1) - states.BLOCH_NORM_SQ).max())
         m = dynamics.adjoint_generator(p)
@@ -368,6 +400,11 @@ def dynamics_suite() -> SuiteReport:
         "dynamics/oracle-triangle-rk4",
         f"RK4 (dt={DT:g}) vs exact propagator on resolvable figure runs",
         worst_rk4, RK4_TOL,
+    ))
+    report.results.append(CheckResult(
+        "dynamics/simulate-kernel",
+        "simulate's rows vs the eigh oracle, per column scale, on the RK4 grid",
+        kernel, KERNEL_TOL,
     ))
     report.results.append(CheckResult(
         "dynamics/lambda-closed-form",

@@ -167,8 +167,10 @@ def _sector_norms(bloch: np.ndarray, config: Configuration) -> tuple[np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time grid plus everything the exporter needs at each grid point.
+    """Time grid plus the amplitudes, Bloch vectors, dn/dt = M n and sector norms on it.
 
+    The numpy counterpart of ``simulate``'s table, whose rows come from
+    :func:`model.row_formula`; ``checks.kernel_deviation`` compares the two.
     ``amplitudes`` is None for trajectories produced by direct Bloch-space
     integration, which never touches amplitudes.
     """
@@ -268,11 +270,19 @@ def rk4_error_estimate(p: SimParams, dt: float, t_max: float) -> tuple[float, fl
     radius rho(M) is E_max - E_min, read from :func:`model.eigenpairs`, the
     spectrum ``simulate``'s rows are built from. The error is the per-step
     defect (rho(M) dt)^5 / 120 times the step count
-    (docs/derivation_notes.md, section 9).
+    (docs/derivation_notes.md, section 9). A ``dt`` that is not positive
+    raises ValueError, as in :func:`integrate_bloch_ode`; a step angle whose
+    fifth power overflows gives an infinite error.
     """
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
     (e_min, _, e_max), _ = model.eigenpairs(model.hamiltonian(p))
     theta = (e_max - e_min) * dt
-    return theta, (t_max / dt) * theta**5 / 120.0
+    try:
+        power = theta**5
+    except OverflowError:  # float ** raises where * would round to inf
+        power = math.inf
+    return theta, (t_max / dt) * power / 120.0
 
 
 def sector_initial_norms(p: SimParams) -> tuple[float, float]:

@@ -504,6 +504,9 @@ PITFALLS = {
     # section 3: 1/(2 sqrt 3) in place of 1/(4 sqrt 3)
     "n8-prefactor": (states, "bloch_geometric", "/ (4.0 * _SQRT3)", "/ (2.0 * _SQRT3)",
                      "state/seven-sphere-norm-4/3"),
+    # section 2: n8 of the row formula simulate writes with 1/(2 sqrt 3) for 1/sqrt 3
+    "row-n8-prefactor": (model, "row_formula", "(q1 + q2 - 2.0 * q3) / sqrt3",
+                         "(q1 + q2 - 2.0 * q3) / (2.0 * sqrt3)", "dynamics/simulate-kernel"),
     # section 3: n7 = +sin^2(theta1/2) s2 sin(phi1 - phi2)
     "n7-sign": (states, "bloch_geometric", "-sin_h1_sq * s2 * np.sin(phi1 - phi2)",
                 "sin_h1_sq * s2 * np.sin(phi1 - phi2)", "state/geometric-trace-map-equivalence"),

@@ -376,6 +376,25 @@ def test_rk4_error_estimate_matches_generator_spectrum(label):
     assert estimate == (checks.T_MAX / checks.DT) * theta**5 / 120.0
 
 
+@pytest.mark.parametrize("delta,dt,expected", [
+    (1e50, 0.01, (pytest.approx(1e48), pytest.approx(1e4 * 1e240 / 120.0))),
+    (1e100, 0.01, (pytest.approx(1e98), math.inf)),  # theta**5 past the float range
+    (1e200, 0.01, (pytest.approx(1e198), math.inf)),
+    (1e308, 0.01, (math.inf, math.inf)),  # the spectrum itself overflows
+    (0.0, 0.0, None),
+    (0.0, -0.01, None),
+], ids=["delta-1e50", "delta-1e100", "delta-1e200", "delta-1e308", "dt-0", "dt-negative"])
+def test_rk4_error_estimate_out_of_range(delta, dt, expected):
+    p = params(FIG_LAMBDA, delta)
+    if expected is None:  # refused as integrate_bloch_ode refuses it
+        for run in (lambda: rk4_error_estimate(p, dt, 100.0),
+                    lambda: integrate_bloch_ode(p, [0.0, 1.0], dt)):
+            with pytest.raises(ValueError, match=f"dt must be positive, got {dt}"):
+                run()
+        return
+    assert rk4_error_estimate(p, dt, 100.0) == expected
+
+
 @pytest.mark.parametrize("base", [FIG_LAMBDA, FIG_VEE, FIG_XI])
 def test_resonant_sector_conservation(base):
     p = params(base)
@@ -468,6 +487,9 @@ def test_invariants_across_parameter_space(p, t, s):
     traj = bloch_trajectory(p, times)
     assert np.abs((np.abs(traj.amplitudes) ** 2).sum(axis=1) - 1.0).max() <= 1e-12
     assert np.abs((traj.bloch**2).sum(axis=1) - BLOCH_NORM_SQ).max() <= 1e-12
+    # simulate's plain-float rows, held to verify's oracle and bound.
+    rows = list(map(model.row_formula(p), times.tolist()))
+    assert checks.kernel_deviation(p, times, rows) <= checks.KERNEL_TOL
 
     m = adjoint_generator(p)
     assert np.array_equal(m, -m.T)
