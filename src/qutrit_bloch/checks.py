@@ -25,7 +25,6 @@ from .model import F_REFERENCE
 __all__ = [
     "CheckResult",
     "KERNEL_TOL",
-    "SCOPES",
     "SuiteReport",
     "algebra_suite",
     "dynamics_suite",
@@ -319,19 +318,19 @@ def kernel_deviation(p: dynamics.SimParams, times: np.ndarray, rows) -> float:
     """Largest deviation of the table ``rows`` (N, 20) from the numpy oracle on ``times``.
 
     The oracle is independent of the plain-float row formula ``simulate``
-    writes: n from ``bloch_trajectory`` (LAPACK's eigh, complex exp), dn = M n
-    with M from the einsum of the Gell-Mann coefficients with the derived f
-    table, and numpy sums for the sector norms and |n|^2. Each column's
-    deviation is divided by its own scale, its largest oracle magnitude but at
-    least 1.
+    writes: n and the sector norms (numpy sums) from ``bloch_trajectory``
+    (LAPACK's eigh, complex exp), dn = M n with M from the einsum of the
+    Gell-Mann coefficients with the derived f table, and |n|^2 from an einsum.
+    Each column's deviation is divided by its own scale, its largest oracle
+    magnitude but at least 1.
     """
-    bloch = dynamics.bloch_trajectory(p, times).bloch
+    traj = dynamics.bloch_trajectory(p, times)
+    bloch = traj.bloch
     h = su3.gellmann_coefficients(dynamics.rotating_hamiltonian(p))[1:]
     m = 2.0 * np.einsum("j,jlk->kl", h, su3.structure_constants().f)
-    set4, set2 = (np.array(s) - 1 for s in dynamics.sector_index_sets(p.config))
     reference = np.column_stack([
-        times, bloch, bloch @ m.T, (bloch[:, set4] ** 2).sum(axis=1),
-        (bloch[:, set2] ** 2).sum(axis=1), np.einsum("ij,ij->i", bloch, bloch),
+        times, bloch, bloch @ m.T, traj.sector4, traj.sector2,
+        np.einsum("ij,ij->i", bloch, bloch),
     ])
     scale = np.maximum(np.abs(reference).max(axis=0), 1.0)
     return float((np.abs(np.asarray(rows) - reference) / scale).max())
@@ -472,23 +471,15 @@ def lambda_generator_reference(p) -> np.ndarray:
     return m
 
 
-_SUITES = {
-    "algebra": algebra_suite,
-    "state": state_suite,
-    "dynamics": dynamics_suite,
-}
-
-#: The ``verify`` scopes: one suite by name, or all of them in this order.
-#: The command line's parser takes them from ``model.VERIFY_SCOPES``.
-SCOPES = (*_SUITES, "all")
-
-
 def run_suites(scope: str = "all") -> SuiteReport:
-    """Run one named suite or all of them, in a fixed order."""
-    if scope not in SCOPES:
+    """Run one suite of ``model.VERIFY_SCOPES`` by name, or ``all`` of them in its order.
+
+    Scope ``name`` runs this module's ``<name>_suite`` as it is when called,
+    so a suite patched or wrapped on the module is the one that runs.
+    """
+    if scope not in model.VERIFY_SCOPES:
         raise ValueError(f"unknown verify scope {scope!r}")
-    names = list(_SUITES) if scope == "all" else [scope]
     report = SuiteReport()
-    for name in names:
-        report.extend(_SUITES[name]())
+    for name in model.VERIFY_SCOPES[:-1] if scope == "all" else [scope]:
+        report.extend(globals()[f"{name}_suite"]())
     return report

@@ -79,15 +79,13 @@ def _row_values(cfg: RunConfig):
     """``values(start, stop)``: rows start..stop-1 of ``cfg``'s table, flat, row i at i * dt.
 
     Each block is checked: every value finite, every norm2 within
-    ``RUNTIME_NORM_TOL`` of 4/3. A breach raises :class:`_Breach` with the
-    line to print: here when the Hamiltonian, its eigenpairs or M are not
-    finite, from ``values`` for a block that fails, naming its largest drift.
+    ``RUNTIME_NORM_TOL`` of 4/3. A block that fails raises :class:`_Breach`
+    with the line to print: the non-finite line, or the drift line naming
+    its largest drift. This check alone refuses a non-finite table: a huge
+    but finite input that overflows H, its eigenpairs or M gives non-finite
+    rows from the first block on.
     """
-    try:
-        row = model.row_formula(cfg.params)
-    except ArithmeticError:  # a huge but finite input overflowed H, its eigenpairs or M
-        raise _Breach(_NON_FINITE) from None
-    dt = cfg.dt
+    row, dt = model.row_formula(cfg.params), cfg.dt
 
     def values(start: int, stop: int) -> tuple:
         try:

@@ -271,18 +271,25 @@ def rk4_error_estimate(p: SimParams, dt: float, t_max: float) -> tuple[float, fl
     spectrum ``simulate``'s rows are built from. The error is the per-step
     defect (rho(M) dt)^5 / 120 times the step count
     (docs/derivation_notes.md, section 9). A ``dt`` that is not positive
-    raises ValueError, as in :func:`integrate_bloch_ode`; a step angle whose
-    fifth power overflows gives an infinite error.
+    raises ValueError, as in :func:`integrate_bloch_ode`, and so does a
+    ``t_max`` that is negative or not finite. The error is 0 where the step
+    count or the fifth power is 0 (an underflow too), and infinite where the
+    fifth power overflows.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(t_max) and t_max >= 0.0):
+        raise ValueError(f"t_max must be finite and nonnegative, got {t_max}")
     (e_min, _, e_max), _ = model.eigenpairs(model.hamiltonian(p))
     theta = (e_max - e_min) * dt
     try:
         power = theta**5
     except OverflowError:  # float ** raises where * would round to inf
         power = math.inf
-    return theta, (t_max / dt) * power / 120.0
+    steps = t_max / dt
+    if steps == 0.0 or power == 0.0:  # not 0 * inf, which is nan
+        return theta, 0.0
+    return theta, steps * power / 120.0
 
 
 def sector_initial_norms(p: SimParams) -> tuple[float, float]:

@@ -394,6 +394,17 @@ def test_run_simulate_invariant_breach(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and "non-finite" in err and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
+    # Over the whole grid (four blocks) an overflowing H, eigenpair or M forks
+    # the helper before the first block breaches, and the helper is gone after.
+    forks = count_forks(monkeypatch)
+    for overrides in (["delta=1e308"], ["delta=1.7e308", "convention=full"]):
+        args = ["simulate", "--figure", "fig1a", "--output", str(tmp_path / "nan.csv")]
+        assert main(args + [f"--set={item}" for item in overrides]) == 3
+        assert capsys.readouterr().err == NON_FINITE
+        assert list(tmp_path.iterdir()) == []
+        assert_no_child_left()
+    assert forks == [1, 1]
+
     # Four blocks of 64 rows, the odd ones the helper's. A breach partway
     # through the table ends the run at the first breaching block: in one of
     # the helper's blocks, or in a later one of this process's. The line
@@ -494,8 +505,6 @@ def mutate(monkeypatch, owner, name: str, old: str, new: str) -> None:
     namespace = dict(real.__globals__)
     exec(code, namespace)
     monkeypatch.setattr(owner, name, namespace[name])
-    if owner is checks and name.endswith("_suite"):  # run_suites calls suites through a table
-        monkeypatch.setitem(checks._SUITES, name.removesuffix("_suite"), namespace[name])
 
 
 # The transcription pitfalls of docs/derivation_notes.md, each patched into the
@@ -895,7 +904,7 @@ def test_long_path_and_figure_echo_is_cut(tmp_path, capsys, monkeypatch, args, h
 
 
 @pytest.mark.parametrize("command,argument,choices", [
-    ("verify", "scope", checks.SCOPES),
+    ("verify", "scope", model.VERIFY_SCOPES),
     ("cardinal", "label", states.CARDINAL_LABELS),
     (None, "command", ("simulate", "verify", "cardinal")),
 ])

@@ -376,23 +376,35 @@ def test_rk4_error_estimate_matches_generator_spectrum(label):
     assert estimate == (checks.T_MAX / checks.DT) * theta**5 / 120.0
 
 
-@pytest.mark.parametrize("delta,dt,expected", [
-    (1e50, 0.01, (pytest.approx(1e48), pytest.approx(1e4 * 1e240 / 120.0))),
-    (1e100, 0.01, (pytest.approx(1e98), math.inf)),  # theta**5 past the float range
-    (1e200, 0.01, (pytest.approx(1e198), math.inf)),
-    (1e308, 0.01, (math.inf, math.inf)),  # the spectrum itself overflows
-    (0.0, 0.0, None),
-    (0.0, -0.01, None),
-], ids=["delta-1e50", "delta-1e100", "delta-1e200", "delta-1e308", "dt-0", "dt-negative"])
-def test_rk4_error_estimate_out_of_range(delta, dt, expected):
+@pytest.mark.parametrize("delta,dt,t_max,expected", [
+    (1e50, 0.01, 100.0, (pytest.approx(1e48), pytest.approx(1e4 * 1e240 / 120.0))),
+    (1e100, 0.01, 100.0, (pytest.approx(1e98), math.inf)),  # theta**5 past the float range
+    (1e200, 0.01, 100.0, (pytest.approx(1e198), math.inf)),
+    (1e308, 0.01, 100.0, (math.inf, math.inf)),  # the spectrum itself overflows
+    (1e100, 0.01, 0.0, (pytest.approx(1e98), 0.0)),  # no steps, not 0 * inf
+    (1.0, 1e-320, 100.0, (pytest.approx(1.06e-320, rel=0.01), 0.0)),  # inf steps, theta**5 is 0
+    (0.0, 0.0, 100.0, None),
+    (0.0, -0.01, 100.0, None),
+    (1e100, 0.01, -5.0, ValueError),
+    (1.0, 0.01, -5.0, ValueError),
+    (1.0, 0.01, math.nan, ValueError),
+    (1.0, 0.01, math.inf, ValueError),
+], ids=["delta-1e50", "delta-1e100", "delta-1e200", "delta-1e308", "t_max-0-overflowing",
+        "dt-subnormal", "dt-0", "dt-negative", "t_max-negative-overflowing",
+        "t_max-negative", "t_max-nan", "t_max-inf"])
+def test_rk4_error_estimate_out_of_range(delta, dt, t_max, expected):
     p = params(FIG_LAMBDA, delta)
     if expected is None:  # refused as integrate_bloch_ode refuses it
-        for run in (lambda: rk4_error_estimate(p, dt, 100.0),
+        for run in (lambda: rk4_error_estimate(p, dt, t_max),
                     lambda: integrate_bloch_ode(p, [0.0, 1.0], dt)):
             with pytest.raises(ValueError, match=f"dt must be positive, got {dt}"):
                 run()
         return
-    assert rk4_error_estimate(p, dt, 100.0) == expected
+    if expected is ValueError:
+        with pytest.raises(ValueError, match=f"t_max must be finite and nonnegative, got {t_max}"):
+            rk4_error_estimate(p, dt, t_max)
+        return
+    assert rk4_error_estimate(p, dt, t_max) == expected
 
 
 @pytest.mark.parametrize("base", [FIG_LAMBDA, FIG_VEE, FIG_XI])

@@ -72,10 +72,14 @@ def test_generator_entries_match_the_f_table(label):
     assert np.count_nonzero(adjoint_generator(p)) <= 28
 
 
-def test_row_formula_refuses_non_finite_hamiltonian():
-    p = model.SimParams(model.Configuration.LAMBDA, 0.3, 0.2, 1e308)  # 2 delta overflows
-    with pytest.raises(ArithmeticError):
-        model.row_formula(p)
+@pytest.mark.parametrize("delta,convention", [(1e308, "half"), (1.7e308, "full")],
+                         ids=["detuning", "full-convention"])
+def test_row_formula_carries_an_overflow_into_the_rows(delta, convention):
+    # No check of its own: H, its eigenpairs or M overflow, and the first row
+    # holds a non-finite value, so the first block of simulate's table breaches.
+    p = model.SimParams(model.Configuration.LAMBDA, 0.3, 0.2, delta,
+                        coupling_convention=convention)
+    assert not all(map(math.isfinite, model.row_formula(p)(0.0)))
 
 
 def test_command_line_modules_import_no_numpy():
@@ -112,9 +116,3 @@ def test_every_public_name_resolves():
         assert getattr(qutrit_bloch, name) is not None, name
     with pytest.raises(AttributeError):
         qutrit_bloch.no_such_name  # noqa: B018
-
-
-def test_parser_scopes_are_the_suites():
-    from qutrit_bloch import checks
-
-    assert checks.SCOPES == model.VERIFY_SCOPES
