@@ -29,6 +29,7 @@ __all__ = [
     "algebra_suite",
     "dynamics_suite",
     "kernel_deviation",
+    "oracle_generator",
     "rk4_deviation",
     "state_suite",
     "run_suites",
@@ -314,22 +315,26 @@ def rk4_deviation(p: dynamics.SimParams) -> float:
     return float(np.abs(rk.bloch - exact.bloch).max())
 
 
+def oracle_generator(p: dynamics.SimParams) -> np.ndarray:
+    """M = 2 einsum(h, f): H's Gell-Mann coefficients with the derived f table."""
+    h = su3.gellmann_coefficients(dynamics.rotating_hamiltonian(p))[1:]
+    return 2.0 * np.einsum("j,jlk->kl", h, su3.structure_constants().f)
+
+
 def kernel_deviation(p: dynamics.SimParams, times: np.ndarray, rows) -> float:
     """Largest deviation of the table ``rows`` (N, 20) from the numpy oracle on ``times``.
 
     The oracle is independent of the plain-float row formula ``simulate``
     writes: n and the sector norms (numpy sums) from ``bloch_trajectory``
-    (LAPACK's eigh, complex exp), dn = M n with M from the einsum of the
-    Gell-Mann coefficients with the derived f table, and |n|^2 from an einsum.
+    (LAPACK's eigh, complex exp), dn = M n with M from :func:`oracle_generator`,
+    and |n|^2 from an einsum.
     Each column's deviation is divided by its own scale, its largest oracle
     magnitude but at least 1.
     """
     traj = dynamics.bloch_trajectory(p, times)
     bloch = traj.bloch
-    h = su3.gellmann_coefficients(dynamics.rotating_hamiltonian(p))[1:]
-    m = 2.0 * np.einsum("j,jlk->kl", h, su3.structure_constants().f)
     reference = np.column_stack([
-        times, bloch, bloch @ m.T, traj.sector4, traj.sector2,
+        times, bloch, bloch @ oracle_generator(p).T, traj.sector4, traj.sector2,
         np.einsum("ij,ij->i", bloch, bloch),
     ])
     scale = np.maximum(np.abs(reference).max(axis=0), 1.0)

@@ -6,7 +6,10 @@ Bloch-norm drift past ``RUNTIME_NORM_TOL``); no output file is written then.
 Output goes to a temporary file in the target's directory that is renamed
 onto the target, so exits 2 and 3 leave an existing file as it was. The
 temporary file is created before any work, so an output the OS refuses exits
-2 at once; a run killed before it ends can leave it behind. That
+2 at once. During ``main``, SIGTERM and SIGHUP at their default action raise
+``SystemExit(128 + signum)``: the run exits 143 or 129, silently, after the
+temporary file is removed, as on SIGINT (which prints a traceback). Only a
+signal that cannot be caught, such as SIGKILL, can leave the file behind. That
 atomicity covers regular files only: POSIX ``rename(2)`` replaces a directory
 entry, so a symlink is followed and its target replaced, and another existing
 non-regular target (a FIFO, a device) is opened and written in place, so it
@@ -39,6 +42,7 @@ import errno
 import json
 import math
 import os
+import signal
 import stat
 import sys
 from itertools import chain
@@ -412,7 +416,31 @@ def _run(args: argparse.Namespace) -> int:
     return run_cardinal(args.label)
 
 
+#: Signals whose default action would end a run before ``finally`` removes its temporary file.
+_UNWIND_SIGNALS = [getattr(signal, n) for n in ("SIGTERM", "SIGHUP") if hasattr(signal, n)]
+
+
+def _unwind(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
+    # An ignored (nohup) or caller-set handler stays; a replaced one is restored.
+    previous = {}
+    for sig in _UNWIND_SIGNALS:
+        if signal.getsignal(sig) is signal.SIG_DFL:
+            try:
+                previous[sig] = signal.signal(sig, _unwind)
+            except ValueError:  # not the main thread
+                break
+    try:
+        return _main(argv)
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
+
+
+def _main(argv: list[str] | None) -> int:
     args = _build_parser().parse_args(argv)
     # Output files report their own write errors; what is left is stdout.
     try:

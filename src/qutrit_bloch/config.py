@@ -21,10 +21,11 @@ comments. Recognized keys:
 Unknown keys are rejected. Keys match exactly; the values of config,
 convention, emit and format match in any case and with surrounding spaces,
 and are kept in their lower-case spelling. The initial amplitudes must arrive
-normalized, |c0|^2 within 1e-12 of 1 (``model.check_normalized``); they
-are never renormalized silently. An output path the OS cannot take (a NUL
-byte, an unencodable character) is refused here; any other output the OS
-refuses to create is refused by ``cli.run_simulate`` before any work.
+normalized, |c0|^2 within 1e-12 of 1 (the check ``model.SimParams`` runs);
+they are never renormalized silently. An output path the OS cannot take (an
+empty name, a NUL byte, an unencodable character) is refused here; any other
+output the OS refuses to create is refused by ``cli.run_simulate`` before any
+work.
 
 This module imports no numpy, at any depth: ``simulate`` runs without it.
 """
@@ -137,9 +138,9 @@ def _parse_triple(key: str, value: str, where: str) -> tuple[float, float, float
 
 
 def _usable_path(text: str) -> bool:
-    """Whether the OS takes ``text`` as a path: it encodes and holds no NUL byte."""
+    """Whether the OS takes ``text`` as a path: it is not empty, encodes and holds no NUL byte."""
     try:
-        return b"\0" not in os.fsencode(text)
+        return text != "" and b"\0" not in os.fsencode(text)
     except UnicodeEncodeError:
         return False
 

@@ -30,7 +30,6 @@ __all__ = [
     "PERMUTATION_SIGN",
     "SimParams",
     "VERIFY_SCOPES",
-    "check_normalized",
     "eigenpairs",
     "generator_entries",
     "hamiltonian",
@@ -101,15 +100,6 @@ _EQUAL_POPULATIONS = (
 COUPLING_CONVENTIONS = ("half", "full")
 
 
-def check_normalized(c) -> None:
-    """Raise ValueError unless |c|^2 of the triple ``c`` is within 1e-12 of 1 (NaN is not)."""
-    norm_sq = 0.0
-    for x in c:
-        norm_sq += x.real * x.real + x.imag * x.imag
-    if not abs(norm_sq - 1.0) <= ATOL_NUMERIC:  # also refuses nan
-        raise ValueError(f"state not normalized: |c|^2 = {norm_sq!r}")
-
-
 @dataclass(frozen=True)
 class SimParams:
     """Inputs of one rotating-frame simulation at equal detuning.
@@ -143,7 +133,11 @@ class SimParams:
         c0 = tuple(complex(x) for x in self.c0)
         if len(c0) != 3:
             raise ValueError(f"amplitude triple must have shape (3,), got ({len(c0)},)")
-        check_normalized(c0)
+        norm_sq = 0.0
+        for x in c0:
+            norm_sq += x.real * x.real + x.imag * x.imag
+        if not abs(norm_sq - 1.0) <= ATOL_NUMERIC:  # also refuses nan
+            raise ValueError(f"state not normalized: |c|^2 = {norm_sq!r}")
         object.__setattr__(self, "c0", c0)
 
     @property

@@ -24,14 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    ATOL_EXACT,
-    ATOL_NUMERIC,
-    BLOCH_NORM_SQ,
-    CARDINAL_ANGLES,
-    CARDINAL_LABELS,
-    check_normalized,
-)
+from .model import ATOL_NUMERIC, BLOCH_NORM_SQ, CARDINAL_ANGLES, CARDINAL_LABELS
 from .su3 import _gellmann_traces, _real_part, gellmann_basis
 
 __all__ = [
@@ -47,8 +40,6 @@ __all__ = [
     "density_from_state",
     "purity",
     "state_from_angles",
-    "validate_density",
-    "validate_pure_state",
 ]
 
 #: Eigenvalues of a reconstructed density matrix may undershoot zero by this much.
@@ -118,41 +109,10 @@ def cardinal_state(label: str) -> tuple[AngleParams, np.ndarray]:
     return angles, state_from_angles(angles)
 
 
-def validate_pure_state(c: np.ndarray) -> np.ndarray:
-    """Check that |c|^2 is within 1e-12 of 1 (NaN is not) and return c as an array.
-
-    The norm check is :func:`model.check_normalized`, the one ``SimParams`` runs.
-    """
-    c = np.asarray(c, dtype=complex)
-    if c.shape != (3,):
-        raise ValueError(f"amplitude triple must have shape (3,), got {c.shape}")
-    check_normalized(c.tolist())
-    return c
-
-
 def density_from_state(c: np.ndarray) -> np.ndarray:
     """Return rho = |psi><psi| for amplitude triple(s): (3,) -> (3, 3), (N, 3) -> (N, 3, 3)."""
     c = np.asarray(c, dtype=complex)
     return c[..., :, None] * c[..., None, :].conj()
-
-
-def validate_density(rho: np.ndarray) -> np.ndarray:
-    """Check finiteness, Hermiticity, unit trace, and positivity of a density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (3, 3):
-        raise ValueError(f"density matrix must be 3x3, got {rho.shape}")
-    if not np.isfinite(rho).all():
-        raise ValueError("density matrix has non-finite entries")
-    herm = np.abs(rho - rho.conj().T).max()
-    if not herm <= ATOL_EXACT:
-        raise ValueError(f"density matrix not Hermitian (residue {herm:.3e})")
-    tr = np.trace(rho)
-    if not abs(tr - 1.0) <= ATOL_NUMERIC:
-        raise ValueError(f"density matrix trace {tr!r} differs from 1")
-    low = np.linalg.eigvalsh(rho).min()
-    if not low >= -PSD_TOL:
-        raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
-    return rho
 
 
 def bloch_from_density(rho: np.ndarray) -> np.ndarray:

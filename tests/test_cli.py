@@ -629,6 +629,75 @@ def test_config_file_at_the_size_cap_is_read(tmp_path):
     assert out.read_text().startswith(CSV_HEADER)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", ["SIGTERM", "SIGHUP"])
+def test_terminating_signal_removes_the_temp_file(tmp_path, fmt, name):
+    # The process signals itself while it formats its first block, with the
+    # helper forked: it exits 128 + signum with nothing printed, waits for the
+    # helper (which gets EPIPE), and leaves the existing output as it was.
+    code = textwrap.dedent("""
+        import os, signal, sys
+        from qutrit_bloch import cli
+        parent, real_fork, real_format = os.getpid(), os.fork, cli._format_block
+        def fork():
+            pid = real_fork()
+            if pid:
+                with open(sys.argv[2], "w") as fh:
+                    fh.write(str(pid))
+            return pid
+        def format_block(*args):
+            if os.getpid() == parent:
+                os.kill(parent, getattr(signal, sys.argv[1]))
+            return real_format(*args)
+        os.fork, cli._format_block = fork, format_block
+        sys.exit(cli.main(sys.argv[3:]))
+    """)
+    (tmp_path / "out").mkdir()
+    out, pid_file = tmp_path / "out" / f"fig1a.{fmt}", tmp_path / "helper.pid"
+    out.write_bytes(b"earlier run\n")
+    args = ["simulate", "--figure", "fig1a", "--format", fmt, "--output", str(out)]
+    result = subprocess.run([sys.executable, "-c", code, name, str(pid_file), *args],
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        128 + getattr(signal, name), "", "")
+    assert list(out.parent.iterdir()) == [out]
+    assert out.read_bytes() == b"earlier run\n"
+    with pytest.raises(ProcessLookupError):  # the helper is gone, and reaped
+        os.kill(int(pid_file.read_text()), 0)
+
+
+def test_main_restores_the_callers_signal_handlers(monkeypatch):
+    # A default action is replaced only while main runs; an ignored or a
+    # caller-set handler stays; from a thread other than the main one, where
+    # no handler can be set, main runs with the signals as they are.
+    sigs, seen = (signal.SIGTERM, signal.SIGHUP), []
+    monkeypatch.setattr(cli, "_run", lambda args: seen.append(
+        [signal.getsignal(sig) for sig in sigs]) or 0)
+    saved = [signal.getsignal(sig) for sig in sigs]
+
+    def own(signum, frame):
+        pass
+
+    try:
+        for handlers in ([signal.SIG_DFL, signal.SIG_DFL], [own, signal.SIG_IGN]):
+            for sig, handler in zip(sigs, handlers):
+                signal.signal(sig, handler)
+            seen.clear()
+            assert main(["cardinal", "one"]) == 0
+            assert [signal.getsignal(sig) for sig in sigs] == handlers
+            unwind = handlers[0] is signal.SIG_DFL
+            assert seen == [[cli._unwind, cli._unwind] if unwind else handlers]
+        for sig in sigs:
+            signal.signal(sig, signal.SIG_DFL)
+        seen.clear()
+        with ThreadPoolExecutor(1) as pool:
+            assert pool.submit(main, ["cardinal", "one"]).result() == 0
+        assert seen == [[signal.SIG_DFL, signal.SIG_DFL]]
+    finally:
+        for sig, handler in zip(sigs, saved):
+            signal.signal(sig, handler)
+
+
 @pytest.mark.parametrize("source", ["one-byte-over", "dev-zero"])
 def test_config_file_past_the_size_cap_is_refused(tmp_path, source):
     # A subprocess under a 1 GiB address-space limit, so an unbounded read
@@ -661,7 +730,7 @@ def write_error(out, reason):
     return f"error: cannot write {config._echo(str(out))}: {reason}\n"
 
 
-@pytest.mark.parametrize("output", [".", "", "missing/x.csv"])
+@pytest.mark.parametrize("output", [".", "missing/x.csv"])
 def test_directory_output_refused_before_any_work(tmp_path, capsys, monkeypatch, output):
     monkeypatch.setattr(cli, "_row_values", no_trajectory)
     monkeypatch.chdir(tmp_path)
@@ -692,6 +761,21 @@ def test_nul_byte_output_refused_at_parse(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--config", str(cfg_path)]) == 2
     err = "error: line 7: output is not a usable file name: 'a\\x00b.csv'\n"
     assert capsys.readouterr().err == err
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+@pytest.mark.parametrize("how", ["option", "override", "document"])
+def test_empty_output_refused_at_parse(tmp_path, capsys, monkeypatch, how):
+    # An empty name is no file: refused with the other unusable names, not as
+    # a write to the directory '.'.
+    monkeypatch.setattr(cli, "_row_values", no_trajectory)
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FIG1A_TEXT + ("output=\n" if how == "document" else ""))
+    args = {"option": ["--output", ""], "override": ["--set", "output="], "document": []}[how]
+    assert main(["simulate", "--config", str(cfg_path), *args]) == 2
+    where = "line 7" if how == "document" else "override"
+    assert capsys.readouterr().err == f"error: {where}: output is not a usable file name: ''\n"
     assert list(tmp_path.iterdir()) == [cfg_path]
 
 

@@ -7,9 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qutrit_bloch import figures, model
+from qutrit_bloch import checks, figures, model
 from qutrit_bloch.dynamics import adjoint_generator, rotating_hamiltonian
-from qutrit_bloch.su3 import derive_structure_constants, gellmann_basis, gellmann_coefficients
 
 EPS = np.finfo(float).eps
 
@@ -53,19 +52,13 @@ def test_eigenpairs_stop_at_the_sweep_cap(h):
     assert not all(map(math.isfinite, (*energies, *sum(vectors, ()))))
 
 
-def einsum_generator(p):
-    """M = 2 einsum(h, f) from the Gell-Mann expansion and the derived f table."""
-    h = gellmann_coefficients(rotating_hamiltonian(p))[1:]
-    return 2.0 * np.einsum("j,jlk->kl", h, derive_structure_constants(gellmann_basis()).f)
-
-
 @pytest.mark.parametrize("label", sorted(figures.parameter_sets()))
 def test_generator_entries_match_the_f_table(label):
     p = figures.parameter_sets()[label]
     entries = model.generator_entries(model.hamiltonian(p))
     assert len(entries) == 28 and list(entries) == sorted(entries)
     assert all(entries[l, k] == -v for (k, l), v in entries.items())
-    reference = einsum_generator(p)
+    reference = checks.oracle_generator(p)
     # 1e-15 of M's largest entry: one rounding of the Gell-Mann coefficients.
     scale = max(1.0, np.abs(reference).max())
     assert np.abs(adjoint_generator(p) - reference).max() <= 1e-15 * scale
