@@ -7,13 +7,15 @@ Output goes to a temporary file in the target's directory that is renamed
 onto the target, so exits 2 and 3 leave an existing file as it was. The
 temporary file is created before any work, so an output the OS refuses exits
 2 at once. During ``main``, SIGTERM and SIGHUP at their default action raise
-``SystemExit(128 + signum)``: the run exits 143 or 129, silently, after the
-temporary file is removed, as on SIGINT (which prints a traceback). Only a
-signal that cannot be caught, such as SIGKILL, can leave the file behind. That
-atomicity covers regular files only: POSIX ``rename(2)`` replaces a directory
-entry, so a symlink is followed and its target replaced, and another existing
-non-regular target (a FIFO, a device) is opened and written in place, so it
-can receive part of the table before an exit 2 or 3.
+``SystemExit(128 + signum)``, and SIGINT's ``KeyboardInterrupt`` is caught:
+the run exits 143, 129 or 130, silently, after the temporary file is
+removed. Only a signal that cannot be caught, such as SIGKILL, can leave the
+file behind. That atomicity covers regular files only: POSIX ``rename(2)``
+replaces a directory entry, so a symlink is followed and its target replaced,
+and another existing non-regular target (a FIFO, a device) is opened and
+written in place, so it can receive part of the table before an exit 2 or 3.
+An output that is the file open as standard output (``--output /dev/stdout``)
+gets the table alone, with no ``wrote`` line after it.
 
 ``simulate`` imports no numpy: each table row comes from
 ``model.row_formula`` in plain floats. The table (``_Table``) owns its
@@ -37,9 +39,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import copy
 import errno
-import json
 import math
 import os
 import signal
@@ -155,6 +155,8 @@ class _Table:
 
     def copy(self) -> _Table:
         """A table whose set values are its own."""
+        import copy
+
         return copy.copy(self)
 
     def _text(self, start: int, stop: int) -> str:
@@ -225,6 +227,8 @@ def _write_csv(path: Path, table: _Table) -> None:
 
 def _write_json(path: Path, cfg: RunConfig, table: _Table) -> None:
     """The layout of ``json.dump({"meta": ..., "rows": [{field: value}, ...]}, indent=1)``."""
+    import json
+
     # json lays out the frame; the rows go where the one placeholder row sits.
     frame = json.dumps({"meta": run_config_dict(cfg), "rows": [None]}, indent=1)
     head, tail = frame.rsplit("null", 1)
@@ -286,8 +290,17 @@ def run_simulate(cfg: RunConfig) -> int:
         if path != target:
             with contextlib.suppress(OSError):
                 path.unlink()
-    print(f"wrote {rows} records to {out}")
+    if not _is_stdout(out):  # --output /dev/stdout: the table is all that goes there
+        print(f"wrote {rows} records to {out}")
     return 0
+
+
+def _is_stdout(path: Path) -> bool:
+    """Whether ``path`` is the file open as fd 1: the same device and inode."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:
+        return False
 
 
 def run_verify(scope: str = "all") -> int:
@@ -435,6 +448,8 @@ def main(argv: list[str] | None = None) -> int:
                 break
     try:
         return _main(argv)
+    except KeyboardInterrupt:  # SIGINT: the run's finally clauses have removed its temp file
+        return 128 + signal.SIGINT
     finally:
         for sig, handler in previous.items():
             signal.signal(sig, handler)

@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
-from .model import _EQUAL_POPULATIONS, COUPLING_CONVENTIONS, Configuration, SimParams
+from .model import _EQUAL_POPULATIONS, COUPLING_CONVENTIONS, Configuration, SimParams, _Record
 
 __all__ = [
     "ConfigError",
@@ -76,16 +75,14 @@ def _echo(text: str) -> str:
     return f"{text[:60]!r}... ({len(text)} characters)"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """Fully validated inputs of one simulation run."""
 
-    params: SimParams
-    t_max: float
-    dt: float
-    emit: str
-    output_format: str
-    output_path: Path
+    __slots__ = ("params", "t_max", "dt", "emit", "output_format", "output_path")
+
+    def __init__(self, params: SimParams, t_max: float, dt: float, emit: str,
+                 output_format: str, output_path: Path) -> None:
+        self._fill(params, t_max, dt, emit, output_format, output_path)
 
 
 def grid_rows(t_max: float, dt: float) -> int:

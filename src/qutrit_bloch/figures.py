@@ -7,7 +7,7 @@ couplings. All use equal initial populations and t in [0, 100] at dt = 0.01.
 
 from __future__ import annotations
 
-from importlib import resources
+from pathlib import Path
 
 from .config import RunConfig, _echo, parse_run_config
 from .model import SimParams
@@ -24,7 +24,7 @@ def figure_config_text(name: str) -> str:
     """Return the raw config document for a bundled figure name."""
     if name not in FIGURE_NAMES:
         raise ValueError(f"unknown figure {_echo(name)}; expected one of {', '.join(FIGURE_NAMES)}")
-    return resources.files(__package__).joinpath(f"configs/{name}.cfg").read_text()
+    return (Path(__file__).parent / "configs" / f"{name}.cfg").read_text(encoding="utf-8")
 
 
 def load_figure(name: str) -> RunConfig:

@@ -14,7 +14,6 @@ the cardinal state angles and the ``verify`` scope names.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 __all__ = [
@@ -100,8 +99,49 @@ _EQUAL_POPULATIONS = (
 COUPLING_CONVENTIONS = ("half", "full")
 
 
-@dataclass(frozen=True)
-class SimParams:
+class _Record:
+    """A frozen value record over ``__slots__``: what ``@dataclass(frozen=True)``
+    gave, without importing ``dataclasses`` (which imports ``inspect``).
+
+    A subclass lists its fields in ``__slots__``, in constructor order, and
+    sets them once with :meth:`_fill`. Assignment raises AttributeError;
+    records of the same type with equal fields are equal and hash alike; the
+    repr is the dataclass one; a copy or a pickle rebuilds through
+    ``__init__``, so it passes the same validation.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class SimParams(_Record):
     """Inputs of one rotating-frame simulation at equal detuning.
 
     ``kappa_a`` and ``kappa_b`` are the two drive couplings; their physical
@@ -111,26 +151,22 @@ class SimParams:
     bare kappa (``full``).
     """
 
-    config: Configuration
-    kappa_a: float
-    kappa_b: float
-    delta: float
-    c0: tuple[complex, complex, complex] = _EQUAL_POPULATIONS
-    coupling_convention: str = "half"
+    __slots__ = ("config", "kappa_a", "kappa_b", "delta", "c0", "coupling_convention")
 
-    def __post_init__(self) -> None:
-        for name in ("kappa_a", "kappa_b"):
-            v = getattr(self, name)
+    def __init__(self, config: Configuration, kappa_a: float, kappa_b: float, delta: float,
+                 c0: tuple[complex, complex, complex] = _EQUAL_POPULATIONS,
+                 coupling_convention: str = "half") -> None:
+        for name, v in (("kappa_a", kappa_a), ("kappa_b", kappa_b)):
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
-        if not math.isfinite(self.delta):
-            raise ValueError(f"delta must be finite, got {self.delta}")
-        if self.coupling_convention not in COUPLING_CONVENTIONS:
+        if not math.isfinite(delta):
+            raise ValueError(f"delta must be finite, got {delta}")
+        if coupling_convention not in COUPLING_CONVENTIONS:
             raise ValueError(
                 f"coupling_convention must be one of {', '.join(COUPLING_CONVENTIONS)},"
-                f" got {self.coupling_convention!r}"
+                f" got {coupling_convention!r}"
             )
-        c0 = tuple(complex(x) for x in self.c0)
+        c0 = tuple(complex(x) for x in c0)
         if len(c0) != 3:
             raise ValueError(f"amplitude triple must have shape (3,), got ({len(c0)},)")
         norm_sq = 0.0
@@ -138,7 +174,7 @@ class SimParams:
             norm_sq += x.real * x.real + x.imag * x.imag
         if not abs(norm_sq - 1.0) <= ATOL_NUMERIC:  # also refuses nan
             raise ValueError(f"state not normalized: |c|^2 = {norm_sq!r}")
-        object.__setattr__(self, "c0", c0)
+        self._fill(config, kappa_a, kappa_b, delta, c0, coupling_convention)
 
     @property
     def coupling_gain(self) -> float:

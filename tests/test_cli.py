@@ -1,6 +1,5 @@
 import __future__
 import contextlib
-import dataclasses
 import inspect
 import itertools
 import json
@@ -37,6 +36,7 @@ from qutrit_bloch.config import (
     _ALL_KEYS,
     MAX_GRID_ROWS,
     ConfigError,
+    RunConfig,
     grid_rows,
     parse_run_config,
     render_run_config,
@@ -331,9 +331,8 @@ def test_run_simulate_deterministic_output(tmp_path):
 
 def test_csv_and_json_encode_identical_numbers(tmp_path):
     csv_cfg = short_cfg(tmp_path)
-    json_cfg = dataclasses.replace(
-        csv_cfg, output_format="json", output_path=tmp_path / "out.json"
-    )
+    json_cfg = RunConfig(csv_cfg.params, csv_cfg.t_max, csv_cfg.dt, csv_cfg.emit,
+                         output_format="json", output_path=tmp_path / "out.json")
     assert run_simulate(csv_cfg) == 0
     assert run_simulate(json_cfg) == 0
     table = np.loadtxt(tmp_path / "out.csv", delimiter=",", skiprows=1)
@@ -630,13 +629,17 @@ def test_config_file_at_the_size_cap_is_read(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("name", ["SIGTERM", "SIGHUP"])
+@pytest.mark.parametrize("name", ["SIGTERM", "SIGHUP", "SIGINT"])
 def test_terminating_signal_removes_the_temp_file(tmp_path, fmt, name):
     # The process signals itself while it formats its first block, with the
     # helper forked: it exits 128 + signum with nothing printed, waits for the
     # helper (which gets EPIPE), and leaves the existing output as it was.
+    # SIGINT gets Python's own handler first: a launcher that ignores SIGINT
+    # passes that on, and the run would not stop.
     code = textwrap.dedent("""
         import os, signal, sys
+        if sys.argv[1] == "SIGINT":
+            signal.signal(signal.SIGINT, signal.default_int_handler)
         from qutrit_bloch import cli
         parent, real_fork, real_format = os.getpid(), os.fork, cli._format_block
         def fork():
@@ -664,6 +667,27 @@ def test_terminating_signal_removes_the_temp_file(tmp_path, fmt, name):
     assert out.read_bytes() == b"earlier run\n"
     with pytest.raises(ProcessLookupError):  # the helper is gone, and reaped
         os.kill(int(pid_file.read_text()), 0)
+
+
+@pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="no /dev/stdout")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("stdout", ["pipe", "file"])
+def test_output_to_standard_output_is_the_table_alone(tmp_path, fmt, stdout):
+    # A pipe is written in place, so a status line would follow the table; a
+    # file is replaced by the rename, and the line would go to the old one.
+    # The bytes are those of a run to a file, but for the JSON meta's output.
+    args = [sys.executable, "-m", "qutrit_bloch.cli", "simulate", "--figure", "fig1a",
+            "--set", "t_max=50", "--format", fmt, "--output"]
+    out, so = tmp_path / f"out.{fmt}", tmp_path / f"so.{fmt}"
+    subprocess.run([*args, str(out)], capture_output=True, timeout=60, check=True)
+    with open(so, "wb") as fh:
+        sink = subprocess.PIPE if stdout == "pipe" else fh
+        result = subprocess.run([*args, "/dev/stdout"], stdout=sink, stderr=subprocess.PIPE,
+                                timeout=60)
+    written = result.stdout if stdout == "pipe" else so.read_bytes()
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert written == out.read_bytes().replace(
+        f'"output": {json.dumps(str(out))}'.encode(), b'"output": "/dev/stdout"')
 
 
 def test_main_restores_the_callers_signal_handlers(monkeypatch):
@@ -1285,18 +1309,21 @@ def test_simulate_without_fork_writes_the_same_bytes(tmp_path):
 
 def test_cli_import_starts_no_pool_machinery(tmp_path):
     # A process pool's modules would add start-up time to every CLI run, and
-    # numpy (0.13 s to import) is for verify and cardinal only.
+    # numpy (0.13 s to import) is for verify and cardinal only. A CSV run
+    # needs neither dataclasses (which imports inspect) nor json.
     code = (
         "import sys, qutrit_bloch.cli; "
         "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules); "
         "code = qutrit_bloch.cli.main(sys.argv[1:]); "
-        "print(code, 'numpy.random' in sys.modules, 'numpy' in sys.modules)"
+        "print(code, 'numpy.random' in sys.modules, 'numpy' in sys.modules); "
+        "print(*(m in sys.modules for m in ('dataclasses', 'inspect', 'json')))"
     )
     out = tmp_path / "out.csv"
     args = ["simulate", "--figure", "fig1a", "--set", "t_max=1", "--output", str(out)]
     result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
                             text=True, timeout=60, check=True)
-    assert result.stdout == f"False False\nwrote 101 records to {out}\n0 False False\n"
+    assert result.stdout == (
+        f"False False\nwrote 101 records to {out}\n0 False False\nFalse False False\n")
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc/self/status")

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -489,7 +488,11 @@ def sim_params(draw):
 
 def unitary(p, t):
     """U(t) column by column: the propagated basis states."""
-    columns = [propagate_exact(dataclasses.replace(p, c0=tuple(e)), [t])[0] for e in np.eye(3)]
+    columns = [
+        propagate_exact(SimParams(p.config, p.kappa_a, p.kappa_b, p.delta, tuple(e),
+                                  p.coupling_convention), [t])[0]
+        for e in np.eye(3)
+    ]
     return np.stack(columns, axis=1)
 
 

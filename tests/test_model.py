@@ -1,5 +1,7 @@
 import ast
+import copy
 import math
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -87,7 +89,8 @@ def test_command_line_modules_import_no_numpy():
 
 def test_command_line_modules_hold_no_numpy_import():
     # At any depth: a numpy import inside a function would load numpy on a
-    # later call, which the import-time check above does not see.
+    # later call, which the import-time check above does not see. Nor
+    # dataclasses: it imports inspect, about 13 ms of every simulate run.
     package = Path(model.__file__).parent
     found = []
     for name in ("__init__", "cli", "config", "figures", "model"):
@@ -98,8 +101,35 @@ def test_command_line_modules_hold_no_numpy_import():
                 modules = [node.module]
             else:
                 continue
-            found += [(name, node.lineno) for m in modules if m.split(".")[0] == "numpy"]
+            found += [(name, node.lineno) for m in modules
+                      if m.split(".")[0] in ("numpy", "dataclasses")]
     assert found == []
+
+
+def test_records_are_frozen_values():
+    # What @dataclass(frozen=True) gave SimParams and RunConfig: keyword or
+    # positional construction, no assignment, value equality and hash, its
+    # repr, and copies that are equal.
+    p = model.SimParams(model.Configuration.XI, 0.2, 0.3, delta=1.0, c0=[1, 0, 0])
+    same = model.SimParams(model.Configuration.XI, 0.2, 0.3, 1.0, (1, 0j, 0), "half")
+    cfg = figures.load_figure("fig1a")
+    assert p == same and hash(p) == hash(same) and p.c0 == (1 + 0j, 0j, 0j)
+    assert p != model.SimParams(model.Configuration.XI, 0.2, 0.3, 1.0, (1, 0, 0), "full")
+    assert p != cfg and cfg == figures.load_figure("fig1a")
+    assert len({cfg, figures.load_figure("fig1a"), p, same}) == 2
+    assert repr(p) == (
+        "SimParams(config=<Configuration.XI: 'xi'>, kappa_a=0.2, kappa_b=0.3, delta=1.0,"
+        " c0=((1+0j), 0j, 0j), coupling_convention='half')")
+    assert repr(cfg) == (
+        f"RunConfig(params={cfg.params!r}, t_max=100.0, dt=0.01, emit='timeseries',"
+        " output_format='csv', output_path=PosixPath('fig1a.csv'))")
+    for record, field in ((p, "delta"), (cfg, "dt"), (cfg, "other")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(record, field, 0.5)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    for record in (p, cfg):
+        assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
 
 
 def test_every_public_name_resolves():
