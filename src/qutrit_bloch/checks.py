@@ -129,7 +129,7 @@ def _reference_table(values: dict, antisymmetric: bool) -> np.ndarray:
     table = np.zeros((8, 8, 8))
     for (l, m, n), v in values.items():
         triple = (l - 1, m - 1, n - 1)
-        for perm, sign in su3.PERMUTATION_SIGN.items():
+        for perm, sign in model.PERMUTATION_SIGN.items():
             table[tuple(triple[i] for i in perm)] = v * (sign if antisymmetric else 1.0)
     return table
 
@@ -264,7 +264,7 @@ def state_suite() -> SuiteReport:
     geo = states.bloch_geometric(angles)
     report.results.append(CheckResult(
         "state/seven-sphere-norm-4/3", "pure-state Bloch norm 4/3",
-        float(np.abs((geo**2).sum(axis=1) - states.BLOCH_NORM_SQ).max()), 1e-12,
+        float(np.abs((geo**2).sum(axis=1) - model.BLOCH_NORM_SQ).max()), 1e-12,
     ))
 
     mapped = states.bloch_from_amplitudes(amps)
@@ -304,7 +304,7 @@ def state_suite() -> SuiteReport:
     return report
 
 
-def rk4_deviation(p: dynamics.SimParams) -> float:
+def rk4_deviation(p: model.SimParams) -> float:
     """Largest Bloch-vector deviation of RK4 (step DT) from the exact propagator.
 
     Compared on every RK4_STRIDE-th point of FIGURE_GRID, up to T_MAX.
@@ -315,13 +315,13 @@ def rk4_deviation(p: dynamics.SimParams) -> float:
     return float(np.abs(rk.bloch - exact.bloch).max())
 
 
-def oracle_generator(p: dynamics.SimParams) -> np.ndarray:
+def oracle_generator(p: model.SimParams) -> np.ndarray:
     """M = 2 einsum(h, f): H's Gell-Mann coefficients with the derived f table."""
     h = su3.gellmann_coefficients(dynamics.rotating_hamiltonian(p))[1:]
     return 2.0 * np.einsum("j,jlk->kl", h, su3.structure_constants().f)
 
 
-def kernel_deviation(p: dynamics.SimParams, times: np.ndarray, rows) -> float:
+def kernel_deviation(p: model.SimParams, times: np.ndarray, rows) -> float:
     """Largest deviation of the table ``rows`` (N, 20) from the numpy oracle on ``times``.
 
     The oracle is independent of the plain-float row formula ``simulate``
@@ -354,7 +354,7 @@ def dynamics_suite() -> SuiteReport:
         row = model.row_formula(p)  # read through the module, so tests can patch it
         kernel = max(kernel, kernel_deviation(p, rk4_grid, [row(t) for t in rk4_grid.tolist()]))
         unit = max(unit, np.abs((np.abs(traj.amplitudes) ** 2).sum(axis=1) - 1.0).max())
-        norm = max(norm, np.abs((traj.bloch**2).sum(axis=1) - states.BLOCH_NORM_SQ).max())
+        norm = max(norm, np.abs((traj.bloch**2).sum(axis=1) - model.BLOCH_NORM_SQ).max())
         m = dynamics.adjoint_generator(p)
         antisym = max(antisym, np.abs(m + m.T).max())
         split = dynamics._split_report(p, traj)
@@ -419,9 +419,9 @@ def dynamics_suite() -> SuiteReport:
     rng = np.random.default_rng(SECTOR_SEED)
     amps = _unit_amplitudes(rng.normal(size=(SECTOR_SAMPLES, 2, 3)))
     worst = 0.0
-    for topology in dynamics.Configuration:
+    for topology in model.Configuration:
         s4, s2 = dynamics._sector_polynomials(topology, amps)
-        worst = max(worst, np.abs(s4 + s2 - states.BLOCH_NORM_SQ).max())
+        worst = max(worst, np.abs(s4 + s2 - model.BLOCH_NORM_SQ).max())
     report.results.append(CheckResult(
         "dynamics/sector-sum-4/3", "closed-form sector norms sum to 4/3",
         float(worst), 1e-12,
@@ -454,7 +454,7 @@ def lambda_generator_reference(p) -> np.ndarray:
     from evaluating -i Tr[lam_k [H, rho]] entry by entry (see
     docs/derivation_notes.md for the derivation).
     """
-    if p.config is not dynamics.Configuration.LAMBDA:
+    if p.config is not model.Configuration.LAMBDA:
         raise ValueError("reference table is for the Lambda configuration")
     g = p.coupling_gain
     k13, k23, d = p.kappa_a, p.kappa_b, p.delta

@@ -15,7 +15,8 @@ replaces a directory entry, so a symlink is followed and its target replaced,
 and another existing non-regular target (a FIFO, a device) is opened and
 written in place, so it can receive part of the table before an exit 2 or 3.
 An output that is the file open as standard output (``--output /dev/stdout``)
-gets the table alone, with no ``wrote`` line after it.
+gets the table alone, with no ``wrote`` line after it. A replaced file keeps
+its permission bits.
 
 ``simulate`` imports no numpy: each table row comes from
 ``model.row_formula`` in plain floats. The table (``_Table``) owns its
@@ -238,8 +239,9 @@ def _write_json(path: Path, cfg: RunConfig, table: _Table) -> None:
         fh.write(tail + "\n")
 
 
-def _output_paths(out: Path) -> tuple[Path, Path]:
-    """The target of ``out`` and the path to write before renaming onto it.
+def _output_paths(out: Path) -> tuple[Path, Path, int | None]:
+    """The target of ``out``, the path to write before renaming onto it, and
+    the permission bits of an existing regular target (None for a new one).
 
     For a regular target the temp file beside it is created here, so whatever
     the OS refuses (a missing or unwritable directory, an overlong name, a
@@ -248,17 +250,17 @@ def _output_paths(out: Path) -> tuple[Path, Path]:
     (``realpath`` turns ``/dev/fd/63`` into an unopenable ``pipe:[N]``).
     """
     try:
-        mode = os.stat(out).st_mode
+        mode = os.stat(out).st_mode  # follows a symlink to its target
     except FileNotFoundError:
-        mode = stat.S_IFREG  # an absent target is created like a regular file
-    if stat.S_ISDIR(mode):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-    if not stat.S_ISREG(mode):
-        return out, out
+        mode = None  # an absent target is created like a regular file
+    if mode is not None and not stat.S_ISREG(mode):
+        if stat.S_ISDIR(mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        return out, out, None
     target = Path(os.path.realpath(out))
     tmp = Path(f"{target}.{os.getpid()}.tmp")
     open(tmp, "w").close()
-    return target, tmp
+    return target, tmp, None if mode is None else stat.S_IMODE(mode)
 
 
 def run_simulate(cfg: RunConfig) -> int:
@@ -268,7 +270,7 @@ def run_simulate(cfg: RunConfig) -> int:
     row, sep = (_CSV_ROW, "") if cfg.output_format == "csv" else (_JSON_ROW, _JSON_SEP)
     try:
         # Refuse an output that cannot be created before any work is done.
-        target, path = _output_paths(out)
+        target, path, mode = _output_paths(out)
         # A regular target is written beside and renamed over, so a failed
         # write or a breach never leaves a partial file at the output path.
         table = _Table(rows, _row_values(cfg), row, sep)
@@ -277,6 +279,8 @@ def run_simulate(cfg: RunConfig) -> int:
         else:
             _write_json(path, cfg, table)
         if path != target:
+            if mode is not None:  # a replaced file keeps its permissions; set after
+                os.chmod(path, mode)  # the writes, which a read-only mode would refuse
             os.replace(path, target)
     except _Breach as exc:
         print(exc, file=sys.stderr)

@@ -29,19 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .model import (
-    COUPLING_CONVENTIONS,
-    Configuration,
-    SimParams,
-    sector_index_sets,
-)
+from .model import Configuration, SimParams, sector_index_sets
 from .states import bloch_from_amplitudes
 from .su3 import _readonly, _real_part
 
 __all__ = [
-    "COUPLING_CONVENTIONS",
-    "Configuration",
-    "SimParams",
     "SplitReport",
     "Trajectory",
     "adjoint_generator",
@@ -53,7 +45,6 @@ __all__ = [
     "resonance_split_check",
     "rk4_error_estimate",
     "rotating_hamiltonian",
-    "sector_index_sets",
     "sector_initial_norms",
 ]
 

@@ -8,7 +8,11 @@ table row. A row's bits depend only on libm's ``cos`` and ``sin``: the rest is
 ``+ - * /`` and ``sqrt``, which IEEE arithmetic rounds alike everywhere.
 
 Also here, because the command line needs them before it imports numpy:
-the cardinal state angles and the ``verify`` scope names.
+the cardinal state angles and the ``verify`` scope names. Each shared name
+(the tolerances, the 4/3 norm, the cardinal labels, the structure-constant
+references, the configurations) is defined here and read from here:
+``su3``, ``states`` and ``dynamics`` import what they use of it but do not
+re-export it.
 """
 
 from __future__ import annotations
@@ -153,9 +157,10 @@ class SimParams(_Record):
 
     __slots__ = ("config", "kappa_a", "kappa_b", "delta", "c0", "coupling_convention")
 
-    def __init__(self, config: Configuration, kappa_a: float, kappa_b: float, delta: float,
+    def __init__(self, config: Configuration | str, kappa_a: float, kappa_b: float, delta: float,
                  c0: tuple[complex, complex, complex] = _EQUAL_POPULATIONS,
                  coupling_convention: str = "half") -> None:
+        config = Configuration(config)  # a member, or its value such as "lambda"
         for name, v in (("kappa_a", kappa_a), ("kappa_b", kappa_b)):
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")

@@ -24,14 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ATOL_NUMERIC, BLOCH_NORM_SQ, CARDINAL_ANGLES, CARDINAL_LABELS
+from .model import ATOL_NUMERIC, CARDINAL_ANGLES, CARDINAL_LABELS
 from .su3 import _gellmann_traces, _real_part, gellmann_basis
 
 __all__ = [
-    "BLOCH_NORM_SQ",
     "AngleParams",
     "BlochRegionError",
-    "CARDINAL_LABELS",
     "bloch_from_amplitudes",
     "bloch_from_density",
     "bloch_geometric",

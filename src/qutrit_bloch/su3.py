@@ -16,10 +16,7 @@ import numpy as np
 from .model import ATOL_EXACT, ATOL_NUMERIC, PERMUTATION_SIGN
 
 __all__ = [
-    "ATOL_EXACT",
-    "ATOL_NUMERIC",
     "ConsistencyError",
-    "PERMUTATION_SIGN",
     "StructureConstants",
     "anticommutator",
     "commutator",

@@ -29,7 +29,7 @@ import pytest
 
 from qutrit_bloch import checks, figures, model
 from qutrit_bloch.dynamics import bloch_trajectory, sector_initial_norms
-from qutrit_bloch.states import BLOCH_NORM_SQ
+from qutrit_bloch.model import BLOCH_NORM_SQ
 
 SETS = figures.parameter_sets()
 

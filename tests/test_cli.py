@@ -42,8 +42,8 @@ from qutrit_bloch.config import (
     render_run_config,
     run_config_dict,
 )
-from qutrit_bloch.dynamics import Configuration
 from qutrit_bloch.figures import FIGURE_NAMES, figure_config_text, load_figure, parameter_sets
+from qutrit_bloch.model import Configuration
 
 FIG1A_TEXT = "config=lambda\nkappa_a=0.3\nkappa_b=0.2\ndelta=0\nt_max=100\ndt=0.01\n"
 
@@ -669,6 +669,29 @@ def test_terminating_signal_removes_the_temp_file(tmp_path, fmt, name):
         os.kill(int(pid_file.read_text()), 0)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_replaced_output_keeps_its_mode(tmp_path, fmt):
+    # A new output gets the umask default; the temp file renamed over an
+    # existing one gets its permission bits, also through a symlink and for
+    # a read-only file, and the bytes are those of the fresh run.
+    out, link = tmp_path / f"out.{fmt}", tmp_path / "link"
+    link.symlink_to(out.name)
+    args = ["simulate", "--figure", "fig1a", "--set", "t_max=1", "--format", fmt, "--output"]
+    umask = os.umask(0o022)
+    try:
+        assert main([*args, str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+        fresh = out.read_bytes()
+        for mode, path in [(0o600, out), (0o444, out), (0o600, link)]:
+            out.chmod(mode)
+            assert main([*args, str(path)]) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == mode
+            assert out.read_bytes().replace(str(link).encode(), str(out).encode()) == fresh
+    finally:
+        os.umask(umask)
+    assert link.is_symlink() and sorted(tmp_path.iterdir()) == [link, out]
+
+
 @pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="no /dev/stdout")
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("stdout", ["pipe", "file"])
@@ -1013,7 +1036,7 @@ def test_long_path_and_figure_echo_is_cut(tmp_path, capsys, monkeypatch, args, h
 
 @pytest.mark.parametrize("command,argument,choices", [
     ("verify", "scope", model.VERIFY_SCOPES),
-    ("cardinal", "label", states.CARDINAL_LABELS),
+    ("cardinal", "label", model.CARDINAL_LABELS),
     (None, "command", ("simulate", "verify", "cardinal")),
 ])
 def test_long_choice_echo_is_cut(capsys, command, argument, choices):

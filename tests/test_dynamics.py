@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from qutrit_bloch import checks, dynamics, figures, model
 from qutrit_bloch.checks import lambda_generator_reference
 from qutrit_bloch.dynamics import (
-    Configuration,
-    SimParams,
     adjoint_generator,
     bloch_trajectory,
     integrate_bloch_ode,
@@ -19,11 +17,10 @@ from qutrit_bloch.dynamics import (
     resonance_split_check,
     rk4_error_estimate,
     rotating_hamiltonian,
-    sector_index_sets,
     sector_initial_norms,
 )
+from qutrit_bloch.model import BLOCH_NORM_SQ, Configuration, SimParams, sector_index_sets
 from qutrit_bloch.states import (
-    BLOCH_NORM_SQ,
     bloch_from_amplitudes,
     bloch_from_density,
     density_from_state,
@@ -49,6 +46,9 @@ def test_sim_params_validation():
         SimParams(Configuration.LAMBDA, -0.1, 0.2, 0.0)
     with pytest.raises(ValueError, match="coupling_convention must be one of half, full"):
         params(FIG_LAMBDA, coupling_convention="double")
+    with pytest.raises(ValueError, match="'bogus' is not a valid Configuration"):
+        SimParams("bogus", 0.3, 0.2, 0.0)
+    assert SimParams("lambda", 0.3, 0.2, 0.0) == SimParams(Configuration.LAMBDA, 0.3, 0.2, 0.0)
     for c0 in [(math.nan, 0.0, 0.0), (1.0, complex(0.0, math.nan), 0.0),
                (math.inf, 0.0, 0.0), (1e200, 0.0, 0.0)]:
         with pytest.raises(ValueError, match="not normalized"):

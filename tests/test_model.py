@@ -132,6 +132,18 @@ def test_records_are_frozen_values():
         assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
 
 
+def test_every_name_has_one_home():
+    # A module's __all__ lists only the names it defines: a shared name is
+    # read from its home, never through a module that imports it.
+    from qutrit_bloch import cli, config, dynamics, states, su3
+
+    homes = {}
+    for module in (model, config, figures, cli, su3, states, dynamics, checks):
+        for name in module.__all__:
+            homes.setdefault(name, []).append(module.__name__)
+    assert {name: where for name, where in homes.items() if len(where) > 1} == {}
+
+
 def test_every_public_name_resolves():
     import qutrit_bloch
 

@@ -6,8 +6,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from qutrit_bloch import checks
+from qutrit_bloch.model import BLOCH_NORM_SQ
 from qutrit_bloch.states import (
-    BLOCH_NORM_SQ,
     AngleParams,
     BlochRegionError,
     bloch_from_amplitudes,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qutrit_bloch import checks
-from qutrit_bloch.checks import D_REFERENCE, F_REFERENCE, SHIFT_ACTIONS
+from qutrit_bloch.checks import D_REFERENCE, SHIFT_ACTIONS
+from qutrit_bloch.model import F_REFERENCE
 from qutrit_bloch.su3 import (
     ConsistencyError,
     anticommutator,
