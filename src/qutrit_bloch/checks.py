@@ -1,21 +1,23 @@
 """Named invariant suites behind the ``verify`` command.
 
-Every check measures a residual against a pinned tolerance; suites are pure
-and deterministic (fixed seeds) and take no parameters. The random samples
-come from fixed-seed streams, drawn in the same order as one sample at a
-time; the arithmetic on them runs as array calls that give the same bits as
-mapping each sample on its own (tests keep the per-sample loops as the
-reference). This module is the
-one implementation of the acceptance criteria: the acceptance gate
-(tests/test_acceptance.py) asserts on the results of these same suites, with
-the dynamics checks on the figures' own time grid, so ``verify`` is the
-installable self-check of the library.
+Every check measures a residual against a pinned bound. Each check's
+statement and bound live in one place, the :data:`CHECKS` table: a suite
+reports only a name and a residual, and the tests read the bounds from there.
+Suites are pure and deterministic (fixed seeds) and take no parameters. The
+random samples come from fixed-seed streams, drawn in the same order as one
+sample at a time; the arithmetic on them runs as array calls that give the
+same bits as mapping each sample on its own (tests keep the per-sample loops
+as the reference). This module is the one implementation of the acceptance
+criteria: the acceptance gate (tests/test_acceptance.py) asserts on the
+results of these same suites, with the dynamics checks on the figures' own
+time grid, so ``verify`` is the installable self-check of the library.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +25,8 @@ from . import config, dynamics, figures, model, states, su3
 from .model import F_REFERENCE
 
 __all__ = [
+    "CHECKS",
+    "Check",
     "CheckResult",
     "KERNEL_TOL",
     "SuiteReport",
@@ -67,25 +71,73 @@ KERNEL_TOL = 1e-11
 RK4_GUARD_FRACTION = 0.1
 
 
+class Check(NamedTuple):
+    """What a ``verify`` check states, and the bound its residual is held to."""
+
+    statement: str
+    bound: float
+    comparison: str = "<="  # residual <= bound passes; ">" inverts
+
+
+#: Every ``verify`` check, in the order ``verify all`` prints them.
+CHECKS = {
+    "algebra/gellmann-orthogonality": Check("Tr[lam_k lam_l] = 2 delta_kl", 1e-14),
+    "algebra/gellmann-hermitian-traceless": Check("lam_k = lam_k^dag, Tr lam_k = 0", 1e-14),
+    "algebra/f-table-reference": Check("antisymmetric constants match canonical values", 1e-14),
+    "algebra/d-table-reference": Check("symmetric constants match canonical values", 1e-14),
+    "algebra/commutator-reconstruction": Check("[lam_l, lam_m] = 2i sum_n f_lmn lam_n", 1e-12),
+    "algebra/product-expansion": Check(
+        "lam_l lam_m = (2/3) delta_lm + sum_n (d_lmn + i f_lmn) lam_n", 1e-12),
+    "algebra/shift-commutators": Check(
+        "[X+, X-] = X3, [X+, X3] = -2 X+, [X-, X3] = 2 X- for X in T, V, U", 0.0),
+    "algebra/shift-actions": Check("all 27 shift-operator actions on basis states", 0.0),
+    "state/parametrization-norm": Check("sum |c_i|^2 = 1 on the angle sample", 1e-14),
+    "state/seven-sphere-norm-4/3": Check("pure-state Bloch norm 4/3", 1e-12),
+    "state/geometric-trace-map-equivalence": Check(
+        "closed form equals Tr[lam rho] componentwise", 1e-12),
+    "state/purity-identity": Check("Tr[rho^2] = (1/3)(1 + (3/2) |n|^2) on mixtures", 1e-12),
+    "state/purity-bounds": Check("1/3 <= Tr[rho^2] <= 1", 1e-12),
+    "state/pure-idempotency": Check("rho^2 = rho for pure states", 1e-12),
+    "state/bloch-roundtrip": Check("density <-> Bloch maps invert each other", 1e-12),
+    "dynamics/unitarity": Check("amplitude norm 1 on all figure runs", 1e-12),
+    "dynamics/bloch-norm-4/3": Check("Bloch norm 4/3 on all figure runs", 1e-9),
+    "dynamics/generator-antisymmetry": Check("M + M^T = 0", 1e-14),
+    "dynamics/sector-conservation-at-resonance": Check(
+        "sector norms constant and equal to closed-form initial values at delta = 0", 1e-9),
+    "dynamics/lambda-generator-reference": Check(
+        "generated Lambda M matches the derived coefficient table", 1e-15),
+    "dynamics/oracle-triangle-rk4": Check(
+        f"RK4 (dt={DT:g}) vs exact propagator on resolvable figure runs", RK4_TOL),
+    "dynamics/simulate-kernel": Check(
+        "simulate's rows vs the eigh oracle, per column scale, on the RK4 grid", KERNEL_TOL),
+    "dynamics/lambda-closed-form": Check(
+        "closed-form Lambda amplitudes vs exact propagator (delta 0 and 0.2)", 1e-9),
+    "dynamics/sector-sum-4/3": Check("closed-form sector norms sum to 4/3", 1e-12),
+    "dynamics/lambda-periodicity": Check(
+        "resonant Lambda Bloch trajectory repeats after 4 pi / Omega", 1e-8),
+    "dynamics/off-resonance-splitting-vanishes": Check(
+        "finite detuning must mix the sectors (deviation exceeds threshold)", 1e-3, ">"),
+}
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    description: str
     residual: float
-    tolerance: float
-    comparison: str = "<="  # residual <= tolerance passes; ">" inverts
+    check: Check  # the name's CHECKS entry
 
     @property
     def passed(self) -> bool:
-        if self.comparison == "<=":
-            return self.residual <= self.tolerance
-        return self.residual > self.tolerance
+        if self.check.comparison == "<=":
+            return self.residual <= self.check.bound
+        return self.residual > self.check.bound
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
+        statement, bound, comparison = self.check
         return (
-            f"{status} {self.name} ({self.description})"
-            f" residual={self.residual:.3e} bound: {self.comparison} {self.tolerance:g}"
+            f"{status} {self.name} ({statement})"
+            f" residual={self.residual:.3e} bound: {comparison} {bound:g}"
         )
 
 
@@ -93,6 +145,10 @@ class CheckResult:
 class SuiteReport:
     results: list[CheckResult] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+
+    def add(self, name: str, residual: float) -> None:
+        """Record check ``name``'s residual, held to its :data:`CHECKS` entry."""
+        self.results.append(CheckResult(name, float(residual), CHECKS[name]))
 
     def extend(self, other: "SuiteReport") -> None:
         self.results.extend(other.results)
@@ -139,58 +195,38 @@ def algebra_suite() -> SuiteReport:
     lam = su3.gellmann_basis()
 
     gram = su3._gellmann_traces(lam[1:])[:, 1:].real  # Tr[lam_k lam_l], k, l >= 1
-    report.results.append(CheckResult(
-        "algebra/gellmann-orthogonality", "Tr[lam_k lam_l] = 2 delta_kl",
-        float(np.abs(gram - 2.0 * np.eye(8)).max()), 1e-14,
-    ))
+    report.add("algebra/gellmann-orthogonality", np.abs(gram - 2.0 * np.eye(8)).max())
 
     herm = np.abs(lam - lam.conj().swapaxes(1, 2)).max()
     traces = np.abs(np.trace(lam[1:], axis1=1, axis2=2)).max()
-    report.results.append(CheckResult(
-        "algebra/gellmann-hermitian-traceless", "lam_k = lam_k^dag, Tr lam_k = 0",
-        float(max(herm, traces, abs(np.trace(lam[0]) - 3.0))), 1e-14,
-    ))
+    report.add("algebra/gellmann-hermitian-traceless",
+               max(herm, traces, abs(np.trace(lam[0]) - 3.0)))
 
     sc = su3.structure_constants()
-    report.results.append(CheckResult(
-        "algebra/f-table-reference", "antisymmetric constants match canonical values",
-        float(np.abs(sc.f - _reference_table(F_REFERENCE, True)).max()), 1e-14,
-    ))
-    report.results.append(CheckResult(
-        "algebra/d-table-reference", "symmetric constants match canonical values",
-        float(np.abs(sc.d - _reference_table(D_REFERENCE, False)).max()), 1e-14,
-    ))
+    report.add("algebra/f-table-reference",
+               np.abs(sc.f - _reference_table(F_REFERENCE, True)).max())
+    report.add("algebra/d-table-reference",
+               np.abs(sc.d - _reference_table(D_REFERENCE, False)).max())
 
     # products[l, m] = lam_{l+1} lam_{m+1}: one table for both expansions.
     products = lam[1:, None] @ lam[None, 1:]
     recon = 2j * np.einsum("lmn,nij->lmij", sc.f, lam[1:])
-    report.results.append(CheckResult(
-        "algebra/commutator-reconstruction", "[lam_l, lam_m] = 2i sum_n f_lmn lam_n",
-        float(np.abs(products - products.swapaxes(0, 1) - recon).max()), 1e-12,
-    ))
+    report.add("algebra/commutator-reconstruction",
+               np.abs(products - products.swapaxes(0, 1) - recon).max())
     recon = (2.0 / 3.0) * np.eye(8)[:, :, None, None] * lam[0] + np.einsum(
         "lmn,nij->lmij", sc.d + 1j * sc.f, lam[1:]
     )
-    report.results.append(CheckResult(
-        "algebra/product-expansion",
-        "lam_l lam_m = (2/3) delta_lm + sum_n (d_lmn + i f_lmn) lam_n",
-        float(np.abs(products - recon).max()), 1e-12,
-    ))
+    report.add("algebra/product-expansion", np.abs(products - recon).max())
 
     # The T, V and U operators of each kind, stacked; commutator broadcasts.
     plus, minus, three = (
         np.stack([su3.shift_operator(fam, kind) for fam in ("T", "V", "U")])
         for kind in ("plus", "minus", "three")
     )
-    worst = max(
+    report.add("algebra/shift-commutators", max(
         np.abs(su3.commutator(plus, minus) - three).max(),
         np.abs(su3.commutator(plus, three) + 2.0 * plus).max(),
         np.abs(su3.commutator(minus, three) - 2.0 * minus).max(),
-    )
-    report.results.append(CheckResult(
-        "algebra/shift-commutators",
-        "[X+, X-] = X3, [X+, X3] = -2 X+, [X-, X3] = 2 X- for X in T, V, U",
-        float(worst), 0.0,
     ))
 
     basis_vecs = np.eye(3, dtype=complex)
@@ -203,10 +239,7 @@ def algebra_suite() -> SuiteReport:
                 target, sign = action
                 expected[target - 1] = sign
             worst = max(worst, np.abs(op @ basis_vecs[src] - expected).max())
-    report.results.append(CheckResult(
-        "algebra/shift-actions", "all 27 shift-operator actions on basis states",
-        float(worst), 0.0,
-    ))
+    report.add("algebra/shift-actions", worst)
     return report
 
 
@@ -255,52 +288,30 @@ def state_suite() -> SuiteReport:
     angles = sample_angles(ANGLE_SAMPLES)
     amps = states.state_from_angles(angles)
 
-    norms = np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0)
-    report.results.append(CheckResult(
-        "state/parametrization-norm", "sum |c_i|^2 = 1 on the angle sample",
-        float(norms.max()), 1e-14,
-    ))
+    report.add("state/parametrization-norm", np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0).max())
 
     geo = states.bloch_geometric(angles)
-    report.results.append(CheckResult(
-        "state/seven-sphere-norm-4/3", "pure-state Bloch norm 4/3",
-        float(np.abs((geo**2).sum(axis=1) - model.BLOCH_NORM_SQ).max()), 1e-12,
-    ))
+    report.add("state/seven-sphere-norm-4/3",
+               np.abs((geo**2).sum(axis=1) - model.BLOCH_NORM_SQ).max())
 
     mapped = states.bloch_from_amplitudes(amps)
     rhos = states.density_from_state(amps)
     traced = states.bloch_from_density(rhos)
-    report.results.append(CheckResult(
-        "state/geometric-trace-map-equivalence",
-        "closed form equals Tr[lam rho] componentwise",
-        float(max(np.abs(geo - mapped).max(), np.abs(geo - traced).max())), 1e-12,
-    ))
+    report.add("state/geometric-trace-map-equivalence",
+               max(np.abs(geo - mapped).max(), np.abs(geo - traced).max()))
 
     mixtures = random_mixtures(MIXTURE_SAMPLES)
     purities = states.purity(mixtures)
     bloch_sq = (states.bloch_from_density(mixtures) ** 2).sum(axis=1)
-    report.results.append(CheckResult(
-        "state/purity-identity", "Tr[rho^2] = (1/3)(1 + (3/2) |n|^2) on mixtures",
-        float(np.abs(purities - (1.0 + 1.5 * bloch_sq) / 3.0).max()), 1e-12,
-    ))
-    bound_violation = max(0.0, float(purities.max() - 1.0), float(1.0 / 3.0 - purities.min()))
-    report.results.append(CheckResult(
-        "state/purity-bounds", "1/3 <= Tr[rho^2] <= 1",
-        bound_violation, 1e-12,
-    ))
+    report.add("state/purity-identity", np.abs(purities - (1.0 + 1.5 * bloch_sq) / 3.0).max())
+    report.add("state/purity-bounds", max(0.0, purities.max() - 1.0, 1.0 / 3.0 - purities.min()))
 
     pure = rhos[:1000]
-    report.results.append(CheckResult(
-        "state/pure-idempotency", "rho^2 = rho for pure states",
-        float(np.abs(pure @ pure - pure).max()), 1e-12,
-    ))
+    report.add("state/pure-idempotency", np.abs(pure @ pure - pure).max())
 
     sample = mapped[:100]
     roundtrip = states.bloch_from_density(states.density_from_bloch(sample))
-    report.results.append(CheckResult(
-        "state/bloch-roundtrip", "density <-> Bloch maps invert each other",
-        float(np.abs(roundtrip - sample).max()), 1e-12,
-    ))
+    report.add("state/bloch-roundtrip", np.abs(roundtrip - sample).max())
     return report
 
 
@@ -378,43 +389,14 @@ def dynamics_suite() -> SuiteReport:
             )
         else:
             worst_rk4 = max(worst_rk4, dev)
-    report.results.append(CheckResult(
-        "dynamics/unitarity", "amplitude norm 1 on all figure runs",
-        float(unit), 1e-12,
-    ))
-    report.results.append(CheckResult(
-        "dynamics/bloch-norm-4/3", "Bloch norm 4/3 on all figure runs",
-        float(norm), 1e-9,
-    ))
-    report.results.append(CheckResult(
-        "dynamics/generator-antisymmetry", "M + M^T = 0",
-        float(antisym), 1e-14,
-    ))
-    report.results.append(CheckResult(
-        "dynamics/sector-conservation-at-resonance",
-        "sector norms constant and equal to closed-form initial values at delta = 0",
-        float(sector_dev), 1e-9,
-    ))
-    report.results.append(CheckResult(
-        "dynamics/lambda-generator-reference",
-        "generated Lambda M matches the derived coefficient table",
-        float(generator_dev), 1e-15,
-    ))
-    report.results.append(CheckResult(
-        "dynamics/oracle-triangle-rk4",
-        f"RK4 (dt={DT:g}) vs exact propagator on resolvable figure runs",
-        worst_rk4, RK4_TOL,
-    ))
-    report.results.append(CheckResult(
-        "dynamics/simulate-kernel",
-        "simulate's rows vs the eigh oracle, per column scale, on the RK4 grid",
-        kernel, KERNEL_TOL,
-    ))
-    report.results.append(CheckResult(
-        "dynamics/lambda-closed-form",
-        "closed-form Lambda amplitudes vs exact propagator (delta 0 and 0.2)",
-        float(closed_dev), 1e-9,
-    ))
+    report.add("dynamics/unitarity", unit)
+    report.add("dynamics/bloch-norm-4/3", norm)
+    report.add("dynamics/generator-antisymmetry", antisym)
+    report.add("dynamics/sector-conservation-at-resonance", sector_dev)
+    report.add("dynamics/lambda-generator-reference", generator_dev)
+    report.add("dynamics/oracle-triangle-rk4", worst_rk4)
+    report.add("dynamics/simulate-kernel", kernel)
+    report.add("dynamics/lambda-closed-form", closed_dev)
 
     rng = np.random.default_rng(SECTOR_SEED)
     amps = _unit_amplitudes(rng.normal(size=(SECTOR_SAMPLES, 2, 3)))
@@ -422,28 +404,16 @@ def dynamics_suite() -> SuiteReport:
     for topology in model.Configuration:
         s4, s2 = dynamics._sector_polynomials(topology, amps)
         worst = max(worst, np.abs(s4 + s2 - model.BLOCH_NORM_SQ).max())
-    report.results.append(CheckResult(
-        "dynamics/sector-sum-4/3", "closed-form sector norms sum to 4/3",
-        float(worst), 1e-12,
-    ))
+    report.add("dynamics/sector-sum-4/3", worst)
 
     p0 = sets["lambda@0"]
     period = 4.0 * math.pi / dynamics.rabi_frequency(p0)
     worst = 0.0
     for t in (0.0, 1.0, 2.5, 7.7, 20.0, 50.0):
         n_pair = dynamics.bloch_trajectory(p0, np.array([t, t + period])).bloch
-        worst = max(worst, float(np.linalg.norm(n_pair[1] - n_pair[0])))
-    report.results.append(CheckResult(
-        "dynamics/lambda-periodicity",
-        "resonant Lambda Bloch trajectory repeats after 4 pi / Omega",
-        float(worst), 1e-8,
-    ))
-
-    report.results.append(CheckResult(
-        "dynamics/off-resonance-splitting-vanishes",
-        "finite detuning must mix the sectors (deviation exceeds threshold)",
-        float(off_dev), 1e-3, comparison=">",
-    ))
+        worst = max(worst, np.linalg.norm(n_pair[1] - n_pair[0]))
+    report.add("dynamics/lambda-periodicity", worst)
+    report.add("dynamics/off-resonance-splitting-vanishes", off_dev)
     return report
 
 

@@ -16,7 +16,8 @@ and another existing non-regular target (a FIFO, a device) is opened and
 written in place, so it can receive part of the table before an exit 2 or 3.
 An output that is the file open as standard output (``--output /dev/stdout``)
 gets the table alone, with no ``wrote`` line after it. A replaced file keeps
-its permission bits.
+its permission bits. The rename gives the output path a new inode, so a
+replaced file's other hard links keep the old bytes and are detached from it.
 
 ``simulate`` imports no numpy: each table row comes from
 ``model.row_formula`` in plain floats. The table (``_Table``) owns its

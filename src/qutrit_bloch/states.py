@@ -108,8 +108,13 @@ def cardinal_state(label: str) -> tuple[AngleParams, np.ndarray]:
 
 
 def density_from_state(c: np.ndarray) -> np.ndarray:
-    """Return rho = |psi><psi| for amplitude triple(s): (3,) -> (3, 3), (N, 3) -> (N, 3, 3)."""
+    """Return rho = |psi><psi| for amplitude triple(s): (3,) -> (3, 3), (N, 3) -> (N, 3, 3).
+
+    Raises ValueError unless the last axis has length 3.
+    """
     c = np.asarray(c, dtype=complex)
+    if c.shape[-1:] != (3,):
+        raise ValueError(f"amplitude triple must have shape (3,), got {c.shape}")
     return c[..., :, None] * c[..., None, :].conj()
 
 
@@ -126,7 +131,8 @@ def bloch_from_density(rho: np.ndarray) -> np.ndarray:
 def bloch_from_amplitudes(c: np.ndarray) -> np.ndarray:
     """Bloch vector(s) of pure amplitude triple(s), written out componentwise.
 
-    Accepts shape (3,) or (N, 3) and returns (8,) or (N, 8). Identical to
+    Accepts shape (3,) or (N, 3) and returns (8,) or (N, 8); any other shape
+    raises ValueError. Identical to
     ``bloch_from_density(density_from_state(c))`` but cheaper on trajectories:
 
         n1 = 2 Re(conj(c1) c2)      n2 = 2 Im(conj(c1) c2)
@@ -139,6 +145,8 @@ def bloch_from_amplitudes(c: np.ndarray) -> np.ndarray:
     value breaks the pure-state norm identity |n|^2 = 4/3.
     """
     c = np.asarray(c, dtype=complex)
+    if c.ndim not in (1, 2) or c.shape[-1] != 3:
+        raise ValueError(f"amplitude triples must have shape (3,) or (N, 3), got {c.shape}")
     single = c.ndim == 1
     c = np.atleast_2d(c)
     c1, c2, c3 = c[:, 0], c[:, 1], c[:, 2]
@@ -216,7 +224,7 @@ def density_from_bloch(n: np.ndarray) -> np.ndarray:
     w = n[..., None, None]  # each component broadcast over a 3x3 matrix
     rho = lam[0] + 1.5 * sum(w[..., k, :, :] * lam[k + 1] for k in range(8))
     rho = rho / 3.0
-    low = np.linalg.eigvalsh(rho).min()
+    low = np.linalg.eigvalsh(rho).min(initial=np.inf)  # an empty stack has no eigenvalue
     if not low >= -PSD_TOL:
         raise BlochRegionError(
             f"Bloch vector outside physical region (eigenvalue {low:.3e})"

@@ -67,7 +67,7 @@ def _gellmann_traces(m: np.ndarray) -> np.ndarray:
 
 def _real_part(values: np.ndarray, what: str, tol: float) -> np.ndarray:
     """A real copy of ``values``; ConsistencyError if any imaginary part is NaN or above ``tol``."""
-    residue = np.abs(values.imag).max()
+    residue = np.abs(values.imag).max(initial=0.0)  # 0 for an empty stack; NaN still propagates
     if not residue <= tol:
         raise ConsistencyError(f"{what} not real (residue {residue:.3e})")
     return values.real.copy()

@@ -110,6 +110,20 @@ def test_criterion_10_algebra_suite(suites):
     assert_checks(suites, 10, *names)
 
 
+def test_verify_runs_the_check_table_in_order(suites):
+    # Every check verify prints is one CHECKS entry, and holds that entry's
+    # statement, bound and comparison.
+    assert [r.name for r in suites.results] == list(checks.CHECKS)
+    for r in suites.results:
+        statement, bound, comparison = checks.CHECKS[r.name]
+        assert r.check == (statement, bound, comparison)
+        assert r.line() == (f"PASS {r.name} ({statement}) residual={r.residual:.3e}"
+                            f" bound: {comparison} {bound:g}")
+    comparisons = {name: check.comparison for name, check in checks.CHECKS.items()}
+    assert comparisons.pop("dynamics/off-resonance-splitting-vanishes") == ">"
+    assert set(comparisons.values()) == {"<="}
+
+
 @pytest.fixture(scope="module")
 def cli_runs(tmp_path_factory):
     """Run the CLI once per bundled figure; reused by the criterion-11 tests.
@@ -140,11 +154,10 @@ def cli_tables(cli_runs):
             for name, (proc, _, out) in cli_runs.items() if proc.returncode == 0}
 
 
-def test_criterion_11_cli_reproduction(suites, cli_runs, cli_tables):
+def test_criterion_11_cli_reproduction(cli_runs, cli_tables):
     # The file-recomputed deviations are held to verify's own bounds.
-    tolerance = {r.name: r.tolerance for r in suites.results}
-    norm_tol = tolerance["dynamics/bloch-norm-4/3"]
-    sector_tol = tolerance["dynamics/sector-conservation-at-resonance"]
+    norm_tol = checks.CHECKS["dynamics/bloch-norm-4/3"].bound
+    sector_tol = checks.CHECKS["dynamics/sector-conservation-at-resonance"].bound
     worst_norm, worst_sector, slowest = 0.0, 0.0, 0.0
     for name, (proc, elapsed, out) in cli_runs.items():
         assert proc.returncode == 0, f"{name}: {proc.stderr}"

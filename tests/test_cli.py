@@ -692,6 +692,18 @@ def test_replaced_output_keeps_its_mode(tmp_path, fmt):
     assert link.is_symlink() and sorted(tmp_path.iterdir()) == [link, out]
 
 
+def test_replaced_output_detaches_its_other_hard_links(tmp_path):
+    # The rename gives the output path a new inode: another name of the old
+    # file keeps the old bytes, and neither file has a second link.
+    out, other = tmp_path / "a.csv", tmp_path / "b.csv"
+    out.write_text("old table\n")
+    os.link(out, other)
+    assert main(["simulate", "--figure", "fig1a", "--set", "t_max=1", "--output", str(out)]) == 0
+    assert out.read_text().startswith(CSV_HEADER)
+    assert other.read_text() == "old table\n"
+    assert out.stat().st_nlink == other.stat().st_nlink == 1
+
+
 @pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="no /dev/stdout")
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("stdout", ["pipe", "file"])

@@ -24,6 +24,14 @@ from qutrit_bloch.su3 import ConsistencyError, gellmann_basis
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
 
+# verify's bounds, for the tests that hold a check's quantity to them.
+SPHERE_TOL = checks.CHECKS["state/seven-sphere-norm-4/3"].bound
+MAP_TOL = checks.CHECKS["state/geometric-trace-map-equivalence"].bound
+IDEMPOTENCY_TOL = checks.CHECKS["state/pure-idempotency"].bound
+ROUNDTRIP_TOL = checks.CHECKS["state/bloch-roundtrip"].bound
+PURITY_TOL = checks.CHECKS["state/purity-identity"].bound
+PURITY_BOUNDS_TOL = checks.CHECKS["state/purity-bounds"].bound
+
 angles_strategy = st.builds(
     AngleParams,
     theta1=st.floats(0.0, math.pi),
@@ -145,8 +153,8 @@ def test_density_projector_and_idempotency():
 
     for a in sample_angles(50):
         rho = density_from_state(state_from_angles(a))
-        assert np.abs(rho @ rho - rho).max() <= 1e-12
-        assert abs(purity(rho) - 1.0) <= 1e-12
+        assert np.abs(rho @ rho - rho).max() <= IDEMPOTENCY_TOL
+        assert abs(purity(rho) - 1.0) <= IDEMPOTENCY_TOL
 
 
 def test_bloch_from_density_examples():
@@ -207,9 +215,9 @@ def test_bloch_geometric_poles():
 @given(angles_strategy)
 def test_seven_sphere_and_map_equivalence(a):
     geo = bloch_geometric(a)
-    assert abs(geo @ geo - BLOCH_NORM_SQ) <= 1e-12
+    assert abs(geo @ geo - BLOCH_NORM_SQ) <= SPHERE_TOL
     via_trace = bloch_from_density(density_from_state(state_from_angles(a)))
-    assert np.abs(geo - via_trace).max() <= 1e-12
+    assert np.abs(geo - via_trace).max() <= MAP_TOL
 
 
 def test_density_from_bloch_examples():
@@ -225,7 +233,7 @@ def test_density_bloch_roundtrip():
         assert np.abs(rho - rho.conj().T).max() <= 1e-14
         assert abs(np.trace(rho) - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(rho).min() >= -1e-10
-        assert np.abs(bloch_from_density(rho) - n).max() <= 1e-12
+        assert np.abs(bloch_from_density(rho) - n).max() <= ROUNDTRIP_TOL
 
 
 def test_density_from_bloch_rejects_unphysical_vector():
@@ -316,6 +324,20 @@ def test_density_from_bloch_rejects_wrong_shape(shape):
         density_from_bloch(np.zeros(shape))
 
 
+@pytest.mark.parametrize("shape", [(), (2,), (4,), (3, 4), (2, 2, 3)])
+def test_amplitude_maps_reject_wrong_shape(shape):
+    with pytest.raises(ValueError, match=r"must have shape \(3,\) or \(N, 3\), got"):
+        bloch_from_amplitudes(np.ones(shape))
+    if shape[-1:] != (3,):  # a stack of any depth is a stack of triples
+        with pytest.raises(ValueError, match=r"must have shape \(3,\), got"):
+            density_from_state(np.ones(shape))
+
+
+def test_empty_stacks_map_to_empty_stacks():
+    assert bloch_from_density(np.empty((0, 3, 3))).shape == (0, 8)
+    assert density_from_bloch(np.empty((0, 8))).shape == (0, 3, 3)
+
+
 def test_random_mixtures_match_per_sample_reference():
     rhos = checks.random_mixtures(checks.MIXTURE_SAMPLES)
     assert rhos.shape == (checks.MIXTURE_SAMPLES, 3, 3)
@@ -359,6 +381,6 @@ def test_purity_identity_and_bounds_on_mixtures():
             rho += w * density_from_state(c / np.linalg.norm(c))
         p = purity(rho)
         n = bloch_from_density(rho)
-        assert abs(p - (1 + 1.5 * (n @ n)) / 3) <= 1e-12
-        assert 1 / 3 - 1e-12 <= p <= 1 + 1e-12
+        assert abs(p - (1 + 1.5 * (n @ n)) / 3) <= PURITY_TOL
+        assert 1 / 3 - PURITY_BOUNDS_TOL <= p <= 1 + PURITY_BOUNDS_TOL
 

@@ -35,12 +35,14 @@ def test_gellmann_index_out_of_range():
 
 def test_gellmann_orthogonality_and_traces():
     lam = gellmann_basis()
+    herm_tol = checks.CHECKS["algebra/gellmann-hermitian-traceless"].bound
+    gram_tol = checks.CHECKS["algebra/gellmann-orthogonality"].bound
     for k in range(1, 9):
-        assert abs(np.trace(lam[k])) <= 1e-14
-        assert np.abs(lam[k] - lam[k].conj().T).max() <= 1e-14
+        assert abs(np.trace(lam[k])) <= herm_tol
+        assert np.abs(lam[k] - lam[k].conj().T).max() <= herm_tol
         for l in range(1, 9):
             expected = 2.0 if k == l else 0.0
-            assert abs(np.trace(lam[k] @ lam[l]).real - expected) <= 1e-14
+            assert abs(np.trace(lam[k] @ lam[l]).real - expected) <= gram_tol
     assert np.trace(lam[0]) == 3.0
 
 
@@ -104,10 +106,12 @@ def test_structure_constant_values():
     assert abs(sc.f[0, 1, 2] - 1.0) <= 1e-14
     assert sc.f[0, 0, 1] == 0.0
     assert abs(sc.d[7, 7, 7] + 1.0 / SQ3) <= 1e-14
+    f_tol = checks.CHECKS["algebra/f-table-reference"].bound
+    d_tol = checks.CHECKS["algebra/d-table-reference"].bound
     for (l, m, n), v in F_REFERENCE.items():
-        assert abs(sc.f[l - 1, m - 1, n - 1] - v) <= 1e-14, (l, m, n)
+        assert abs(sc.f[l - 1, m - 1, n - 1] - v) <= f_tol, (l, m, n)
     for (l, m, n), v in D_REFERENCE.items():
-        assert abs(sc.d[l - 1, m - 1, n - 1] - v) <= 1e-14, (l, m, n)
+        assert abs(sc.d[l - 1, m - 1, n - 1] - v) <= d_tol, (l, m, n)
 
 
 def test_structure_constant_tables_have_no_extra_entries():
@@ -130,10 +134,11 @@ def test_commutator_reconstruction_from_f():
     lam = gellmann_basis()
     sc = structure_constants()
     stack = np.stack(lam[1:])
+    bound = checks.CHECKS["algebra/commutator-reconstruction"].bound
     for l in range(8):
         for m in range(8):
             recon = 2j * np.einsum("n,nij->ij", sc.f[l, m], stack)
-            assert np.abs(commutator(lam[l + 1], lam[m + 1]) - recon).max() <= 1e-12
+            assert np.abs(commutator(lam[l + 1], lam[m + 1]) - recon).max() <= bound
 
 
 def test_anticommutator_expansion_from_d():
