@@ -229,7 +229,12 @@ def integrate_bloch_ode(p: SimParams, times: np.ndarray, dt: float) -> Trajector
     gaps = np.diff(times)
     if gaps.size and dt > gaps.min() * (1.0 + 1e-12):
         raise ValueError(f"dt={dt} exceeds the smallest grid spacing {gaps.min()}")
-    steps = np.rint(gaps / dt).astype(int)
+    with np.errstate(over="ignore"):  # an overflowing count is refused next
+        steps = np.rint(gaps / dt)
+    if not steps.max(initial=0.0) < 2.0**63:
+        raise ValueError(f"a grid interval of {steps.max():.6g} steps of dt={dt} "
+                         "exceeds the int64 step count")
+    steps = steps.astype(np.int64)
     if np.any(np.abs(steps * dt - gaps) > 1e-9 * np.maximum(1.0, gaps)):
         raise ValueError("every grid interval must be an integer multiple of dt")
 

@@ -58,7 +58,8 @@ class AngleParams:
     """Geometric qutrit angles: theta1, theta2 in [0, pi], phi1, phi2 in [0, 2 pi).
 
     Each angle is a float, or an array of angles for a batch of states (the
-    four broadcast against each other); every entry is range-checked.
+    four broadcast against each other); every entry must be real and is
+    range-checked.
     """
 
     theta1: float | np.ndarray
@@ -67,6 +68,11 @@ class AngleParams:
     phi2: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("theta1", "theta2", "phi1", "phi2"):
+            # numpy orders complex numbers by their real part first, so the
+            # range checks below would pass a complex angle.
+            if np.iscomplexobj(getattr(self, name)):
+                raise ValueError(f"{name}={getattr(self, name)} is not real")
         for name in ("theta1", "theta2"):
             v = np.asarray(getattr(self, name))
             if not np.all((0.0 <= v) & (v <= math.pi)):

@@ -75,8 +75,9 @@ def _real_part(values: np.ndarray, what: str, tol: float) -> np.ndarray:
 
 def gellmann(k: int) -> np.ndarray:
     """Return the k-th basis matrix, k in 0..8 (0 is the identity)."""
-    if not 0 <= k <= 8:
-        raise ValueError(f"Gell-Mann index must be in 0..8, got {k}")
+    # numpy would take a bool as a mask, not as an index.
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= 8:
+        raise ValueError(f"Gell-Mann index must be an integer in 0..8, got {k}")
     return gellmann_basis()[k]
 
 
@@ -139,12 +140,15 @@ class StructureConstants:
 def derive_structure_constants(basis) -> StructureConstants:
     """Derive f and d tables from a 9-element generator basis.
 
-    Uses f_lmn = Tr[[lambda_l, lambda_m] lambda_n] / 4i and
+    ``basis`` must have shape (9, 3, 3), or ValueError is raised. Uses
+    f_lmn = Tr[[lambda_l, lambda_m] lambda_n] / 4i and
     d_lmn = Tr[{lambda_l, lambda_m} lambda_n] / 4. The traces must be real
     (imaginary residue at most 1e-14) for a valid Hermitian basis; anything
     larger, or NaN, raises :class:`ConsistencyError`.
     """
     lam = np.asarray(basis, dtype=complex)
+    if lam.shape != (9, 3, 3):
+        raise ValueError(f"a generator basis must have shape (9, 3, 3), got {lam.shape}")
     f = np.zeros((8, 8, 8), dtype=complex)
     d = np.zeros((8, 8, 8), dtype=complex)
     for triple in combinations_with_replacement(range(8), 3):

@@ -307,28 +307,6 @@ def test_oversized_grid_rejected_at_parse(tmp_path, capsys, t_max, dt):
     assert not out.exists()
 
 
-def test_run_simulate_csv(tmp_path):
-    cfg = short_cfg(tmp_path)
-    assert run_simulate(cfg) == 0
-    lines = (tmp_path / "out.csv").read_text().splitlines()
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 102  # header + t_max/dt + 1 rows
-    table = np.loadtxt(tmp_path / "out.csv", delimiter=",", skiprows=1)
-    assert table.shape == (101, 20)
-    assert np.abs(table[:, -1] - 4 / 3).max() <= 1e-9
-    # resonant Lambda run conserves both sector norms
-    assert np.abs(table[:, 17] - 4 / 9).max() <= 1e-9
-    assert np.abs(table[:, 18] - 8 / 9).max() <= 1e-9
-
-
-def test_run_simulate_deterministic_output(tmp_path):
-    cfg = short_cfg(tmp_path)
-    run_simulate(cfg)
-    first = (tmp_path / "out.csv").read_bytes()
-    run_simulate(cfg)
-    assert (tmp_path / "out.csv").read_bytes() == first
-
-
 def test_csv_and_json_encode_identical_numbers(tmp_path):
     csv_cfg = short_cfg(tmp_path)
     json_cfg = RunConfig(csv_cfg.params, csv_cfg.t_max, csv_cfg.dt, csv_cfg.emit,
@@ -352,12 +330,6 @@ def test_norm2_column_recomputes_from_row(tmp_path):
     n = table[:, 1:9]
     recomputed = np.einsum("ij,ij->i", n, n)
     assert np.abs(recomputed - table[:, -1]).max() <= np.finfo(float).eps * 4
-
-
-def test_run_simulate_unwritable_path(tmp_path, capsys):
-    cfg = short_cfg(tmp_path, output=tmp_path / "missing" / "out.csv")
-    assert run_simulate(cfg) == 2
-    assert "cannot write" in capsys.readouterr().err
 
 
 def test_run_simulate_invariant_breach(tmp_path, capsys, monkeypatch):
@@ -1248,19 +1220,24 @@ def test_simulate_memory_does_not_grow_with_rows(tmp_path, monkeypatch, fmt):
     monkeypatch.setattr(cli, "BLOCK_ROWS", 64)
     monkeypatch.setattr(os, "fork", no_fork)
 
+    def config(blocks):
+        return short_cfg(tmp_path, t_max=blocks * cli.BLOCK_ROWS - 1, dt=1, format=fmt)
+
     def peak(blocks):
-        cfg = short_cfg(tmp_path, t_max=blocks * cli.BLOCK_ROWS - 1, dt=1, format=fmt)
         tracemalloc.start()
         try:
-            assert run_simulate(cfg) == 0
+            assert run_simulate(config(blocks)) == 0
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    # CPython keeps up to 2000 freed tuples of each small size for reuse; the
-    # first run fills that cache (up to 400 kB of 20-value rows) once per process.
-    peak(64)
-    assert peak(64) <= 1.5 * peak(2)
+    # CPython keeps up to 2000 freed tuples of each small size for reuse, and
+    # the first run of a process fills that cache (up to 400 kB of 20-value
+    # rows). The warm-up does so untraced, where a run is 19 times faster, at
+    # the size traced next. Fewer than about 2,000 traced rows (16 blocks of
+    # 64) let the cache fill inside the traced run and fail a clean one.
+    assert run_simulate(config(32)) == 0
+    assert peak(32) <= 1.5 * peak(2)
 
 
 @pytest.mark.parametrize("failure", ["helper_raises", "helper_status", "helper_killed",
@@ -1399,28 +1376,28 @@ NUMPY_HOST_SETTINGS = [
 
 
 def test_simulate_bytes_do_not_depend_on_numpy_dispatch(tmp_path):
-    runs = [(name, fmt, i) for name in ("fig3b", "fig5a") for fmt in ("csv", "json")
-            for i in range(len(NUMPY_HOST_SETTINGS))]
+    # CSV's %.17g shows every double exactly; the JSON writer formats the same
+    # doubles in numpy-free code (test_command_line_modules_hold_no_numpy_import).
+    runs = [(name, i) for name in ("fig3b", "fig5a") for i in range(len(NUMPY_HOST_SETTINGS))]
     # The children run elsewhere, so they find the package by its absolute path.
     path = os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
 
     def run(case):
-        name, fmt, i = case
-        cwd = tmp_path / str(i)  # one output name: the JSON meta holds it
-        cwd.mkdir(exist_ok=True)
+        name, i = case
+        out = f"{name}.{i}.csv"
         subprocess.run(
             [sys.executable, "-m", "qutrit_bloch.cli", "simulate", "--figure", name,
-             "--format", fmt, "--output", f"{name}.{fmt}"],
-            cwd=cwd, env={**os.environ, "PYTHONPATH": path, **NUMPY_HOST_SETTINGS[i]},
+             "--output", out],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": path, **NUMPY_HOST_SETTINGS[i]},
             capture_output=True,
             timeout=60, check=True,
         )
-        return (cwd / f"{name}.{fmt}").read_bytes()
+        return (tmp_path / out).read_bytes()
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         outputs = dict(zip(runs, pool.map(run, runs)))
-    for (name, fmt, i), data in outputs.items():
-        assert data == outputs[name, fmt, 0], (name, fmt, NUMPY_HOST_SETTINGS[i])
+    for (name, i), data in outputs.items():
+        assert data == outputs[name, 0], (name, NUMPY_HOST_SETTINGS[i])
 
 
 FIG1A_JSON_HEAD = """\

@@ -274,6 +274,15 @@ def test_integrate_step_grid_mismatch_rejected():
         integrate_bloch_ode(p, np.array([0.0, 1.0]), -0.1)
 
 
+@pytest.mark.parametrize("dt,steps", [(1e-300, r"1e\+300"), (5e-324, "inf")],
+                         ids=["past-int64", "overflowing"])
+def test_integrate_refuses_a_step_count_past_int64(dt, steps):
+    # Under the suite's filterwarnings = error, a cast or overflow warning
+    # from numpy would fail this test before any ValueError.
+    with pytest.raises(ValueError, match=f"grid interval of {steps} steps"):
+        integrate_bloch_ode(params(FIG_LAMBDA), [0.0, 1.0], dt)
+
+
 SECTOR_EXPECTED = {
     Configuration.LAMBDA: ((2, 3, 5, 6, 8), (1, 4, 7)),
     Configuration.VEE: ((1, 3, 5, 7, 8), (2, 4, 6)),

