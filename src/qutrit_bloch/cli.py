@@ -3,10 +3,12 @@
 Exit codes: 0 success, 1 verification failure, 2 I/O or configuration error,
 3 runtime invariant breach during a simulation (a non-finite table entry, or a
 Bloch-norm drift past ``RUNTIME_NORM_TOL``); no output file is written then.
-Output goes to a temporary file in the target's directory that is renamed
-onto the target, so exits 2 and 3 leave an existing file as it was. The
-temporary file is created before any work, so an output the OS refuses exits
-2 at once. During ``main``, SIGTERM and SIGHUP at their default action raise
+A ``MemoryError`` while the table is computed or written exits 2, with one
+``error:`` line naming the output, like a failed write. Output goes to a
+temporary file in the target's directory that is renamed onto the target, so
+exits 2 and 3 leave an existing file as it was. The temporary file is
+created before any work, so an output the OS refuses exits 2 at once. During
+``main``, SIGTERM and SIGHUP at their default action raise
 ``SystemExit(128 + signum)``, and SIGINT's ``KeyboardInterrupt`` is caught:
 the run exits 143, 129 or 130, silently, after the temporary file is
 removed. Only a signal that cannot be caught, such as SIGKILL, can leave the
@@ -286,9 +288,9 @@ def run_simulate(cfg: RunConfig) -> int:
     except _Breach as exc:
         print(exc, file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: cannot write {config._echo(str(out))}: {exc.strerror or exc}",
-              file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        reason = "out of memory" if isinstance(exc, MemoryError) else exc.strerror or exc
+        print(f"error: cannot write {config._echo(str(out))}: {reason}", file=sys.stderr)
         return 2
     finally:
         # No temp file is left after the rename, an exit 2 or an exit 3.

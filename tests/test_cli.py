@@ -1241,14 +1241,20 @@ def test_simulate_memory_does_not_grow_with_rows(tmp_path, monkeypatch, fmt):
 
 
 @pytest.mark.parametrize("failure", ["helper_raises", "helper_status", "helper_killed",
-                                     "no_fork", "parent_fails"])
+                                     "no_fork", "parent_fails", "parent_out_of_memory"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_failed_helper_keeps_existing_output(tmp_path, capsys, monkeypatch, fmt, failure):
     # A helper that fails costs time, not the run: this process does every
     # block the helper did not send, and the file is a clean run's. Only a
-    # failure of this process exits 2 and keeps the file already there.
+    # failure of this process exits 2 and keeps the file already there: a
+    # full disk in its first block, or no memory left in its second.
     out = tmp_path / f"out.{fmt}"
-    if failure == "parent_fails":
+    # (the error, the call of this process's that raises it, the reason printed)
+    parent_error = {
+        "parent_fails": (OSError(28, "No space left on device"), 1, "No space left on device"),
+        "parent_out_of_memory": (MemoryError(), 2, "out of memory"),
+    }.get(failure)
+    if parent_error:
         # 10001 rows in 4 blocks: the helper's first block overfills the pipe,
         # so it is blocked writing when this process fails; the failure path
         # must close the pipe before it waits, or it would wait forever.
@@ -1267,8 +1273,8 @@ def test_failed_helper_keeps_existing_output(tmp_path, capsys, monkeypatch, fmt,
     def format_block(block, row, sep):
         if os.getpid() == parent:
             formatted.append(1)
-            if failure == "parent_fails":
-                raise OSError(28, "No space left on device")
+            if parent_error and len(formatted) == parent_error[1]:
+                raise parent_error[0]
         else:
             helper_calls.append(1)
             if failure == "helper_raises":
@@ -1284,9 +1290,9 @@ def test_failed_helper_keeps_existing_output(tmp_path, capsys, monkeypatch, fmt,
         monkeypatch.setattr(os, "_exit", lambda code: real_exit(3))
     elif failure == "no_fork":
         monkeypatch.delattr(os, "fork")
-    if failure == "parent_fails":
+    if parent_error:
         assert run_simulate(cfg) == 2
-        assert capsys.readouterr().err == write_error(out, "No space left on device")
+        assert capsys.readouterr().err == write_error(out, parent_error[2])
         assert out.read_bytes() == b"earlier run\n"
     else:
         assert run_simulate(cfg) == 0

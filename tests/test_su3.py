@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qutrit_bloch import checks
-from qutrit_bloch.checks import SHIFT_ACTIONS
 from qutrit_bloch.su3 import (
     ConsistencyError,
     anticommutator,
@@ -40,19 +39,6 @@ def test_gellmann_refuses_non_integer_index(k):
     assert np.array_equal(gellmann(np.int64(3)), gellmann(3))
 
 
-def test_gellmann_orthogonality_and_traces():
-    lam = gellmann_basis()
-    herm_tol = checks.CHECKS["algebra/gellmann-hermitian-traceless"].bound
-    gram_tol = checks.CHECKS["algebra/gellmann-orthogonality"].bound
-    for k in range(1, 9):
-        assert abs(np.trace(lam[k])) <= herm_tol
-        assert np.abs(lam[k] - lam[k].conj().T).max() <= herm_tol
-        for l in range(1, 9):
-            expected = 2.0 if k == l else 0.0
-            assert abs(np.trace(lam[k] @ lam[l]).real - expected) <= gram_tol
-    assert np.trace(lam[0]) == 3.0
-
-
 def test_basis_is_readonly():
     lam = gellmann_basis()
     assert type(lam) is np.ndarray and lam.shape == (9, 3, 3) and lam.dtype == complex
@@ -78,29 +64,6 @@ def test_shift_plus_minus_adjoint(family):
     assert np.array_equal(three, three.conj().T)
 
 
-def test_all_27_shift_actions_exact():
-    e = np.eye(3, dtype=complex)
-    for (family, kind), actions in SHIFT_ACTIONS.items():
-        op = shift_operator(family, kind)
-        for src, action in enumerate(actions):
-            expected = np.zeros(3, dtype=complex)
-            if action is not None:
-                expected[action[0] - 1] = action[1]
-            assert np.array_equal(op @ e[src], expected), (family, kind, src + 1)
-
-
-@pytest.mark.parametrize("family", ["T", "V", "U"])
-def test_shift_commutation_relations(family):
-    # The closures follow from the explicit matrices: [X+, X3] = -2 X+ and
-    # [X-, X3] = +2 X-.
-    plus = shift_operator(family, "plus")
-    minus = shift_operator(family, "minus")
-    three = shift_operator(family, "three")
-    assert np.array_equal(commutator(plus, minus), three)
-    assert np.array_equal(commutator(plus, three), -2.0 * plus)
-    assert np.array_equal(commutator(minus, three), 2.0 * minus)
-
-
 def test_commutator_basics():
     t_plus = shift_operator("T", "plus")
     assert np.array_equal(commutator(t_plus, t_plus), np.zeros((3, 3)))
@@ -114,17 +77,6 @@ def test_structure_constant_exact_symmetry():
     assert np.array_equal(sc.f, -np.transpose(sc.f, (0, 2, 1)))
     assert np.array_equal(sc.d, np.transpose(sc.d, (1, 0, 2)))
     assert np.array_equal(sc.d, np.transpose(sc.d, (0, 2, 1)))
-
-
-def test_commutator_reconstruction_from_f():
-    lam = gellmann_basis()
-    sc = structure_constants()
-    stack = np.stack(lam[1:])
-    bound = checks.CHECKS["algebra/commutator-reconstruction"].bound
-    for l in range(8):
-        for m in range(8):
-            recon = 2j * np.einsum("n,nij->ij", sc.f[l, m], stack)
-            assert np.abs(commutator(lam[l + 1], lam[m + 1]) - recon).max() <= bound
 
 
 def test_anticommutator_expansion_from_d():
