@@ -11,6 +11,15 @@ as the reference). This module is the one implementation of the acceptance
 criteria: the acceptance gate (tests/test_acceptance.py) asserts on the
 results of these same suites, with the dynamics checks on the figures' own
 time grid, so ``verify`` is the installable self-check of the library.
+
+Memory is bounded by a chunk, not by the sample: the state suite maps its
+angle samples :data:`CHUNK` at a time, and the dynamics suite holds one
+figure run at a time, of it only the amplitudes, Bloch vectors and sector
+norms its checks read, and compares the Lambda closed form one chunk of the
+grid at a time. Every call on a chunked path is elementwise, so each residual
+has the same bits as from the whole array; the BLAS product inside
+``dynamics.propagate_exact`` is not chunked, because its last bits can
+depend on how OpenBLAS blocks the rows it is given.
 """
 
 from __future__ import annotations
@@ -48,6 +57,14 @@ SECTOR_SEED = 20240803
 ANGLE_SAMPLES = 10_000
 MIXTURE_SAMPLES = 1_000
 SECTOR_SAMPLES = 200
+
+#: The leading angle samples held to rho^2 = rho, and to the Bloch round trip.
+PURE_SAMPLES = 1_000
+ROUNDTRIP_SAMPLES = 100
+
+#: Angle samples, and figure-grid points of the Lambda closed form, mapped
+#: per array call, so at most one chunk's arrays are held at a time.
+CHUNK = 1_000
 
 #: The bundled figures' time grid, as ``simulate`` builds it (every figure
 #: shares fig1a's t_max and dt); the exact propagator is checked on every
@@ -286,32 +303,41 @@ def random_mixtures(count: int) -> np.ndarray:
 def state_suite() -> SuiteReport:
     report = SuiteReport()
     angles = sample_angles(ANGLE_SAMPLES)
-    amps = states.state_from_angles(angles)
+    param_norm = sphere = equivalence = idempotency = roundtrip = 0.0
+    # The largest of each chunk's largest residual is the sample's largest.
+    for start in range(0, ANGLE_SAMPLES, CHUNK):
+        part = slice(start, start + CHUNK)
+        chunk = states.AngleParams(
+            angles.theta1[part], angles.theta2[part], angles.phi1[part], angles.phi2[part])
+        amps = states.state_from_angles(chunk)
+        param_norm = max(param_norm, np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0).max())
 
-    report.add("state/parametrization-norm", np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0).max())
+        geo = states.bloch_geometric(chunk)
+        sphere = max(sphere, np.abs((geo**2).sum(axis=1) - model.BLOCH_NORM_SQ).max())
 
-    geo = states.bloch_geometric(angles)
-    report.add("state/seven-sphere-norm-4/3",
-               np.abs((geo**2).sum(axis=1) - model.BLOCH_NORM_SQ).max())
+        mapped = states.bloch_from_amplitudes(amps)
+        rhos = states.density_from_state(amps)
+        traced = states.bloch_from_density(rhos)
+        equivalence = max(equivalence, np.abs(geo - mapped).max(), np.abs(geo - traced).max())
 
-    mapped = states.bloch_from_amplitudes(amps)
-    rhos = states.density_from_state(amps)
-    traced = states.bloch_from_density(rhos)
-    report.add("state/geometric-trace-map-equivalence",
-               max(np.abs(geo - mapped).max(), np.abs(geo - traced).max()))
+        if start < PURE_SAMPLES:
+            pure = rhos[:PURE_SAMPLES - start]
+            idempotency = max(idempotency, np.abs(pure @ pure - pure).max())
+        if start < ROUNDTRIP_SAMPLES:
+            sample = mapped[:ROUNDTRIP_SAMPLES - start]
+            back = states.bloch_from_density(states.density_from_bloch(sample))
+            roundtrip = max(roundtrip, np.abs(back - sample).max())
+    report.add("state/parametrization-norm", param_norm)
+    report.add("state/seven-sphere-norm-4/3", sphere)
+    report.add("state/geometric-trace-map-equivalence", equivalence)
 
     mixtures = random_mixtures(MIXTURE_SAMPLES)
     purities = states.purity(mixtures)
     bloch_sq = (states.bloch_from_density(mixtures) ** 2).sum(axis=1)
     report.add("state/purity-identity", np.abs(purities - (1.0 + 1.5 * bloch_sq) / 3.0).max())
     report.add("state/purity-bounds", max(0.0, purities.max() - 1.0, 1.0 / 3.0 - purities.min()))
-
-    pure = rhos[:1000]
-    report.add("state/pure-idempotency", np.abs(pure @ pure - pure).max())
-
-    sample = mapped[:100]
-    roundtrip = states.bloch_from_density(states.density_from_bloch(sample))
-    report.add("state/bloch-roundtrip", np.abs(roundtrip - sample).max())
+    report.add("state/pure-idempotency", idempotency)
+    report.add("state/bloch-roundtrip", roundtrip)
     return report
 
 
@@ -352,6 +378,29 @@ def kernel_deviation(p: model.SimParams, times: np.ndarray, rows) -> float:
     return float((np.abs(np.asarray(rows) - reference) / scale).max())
 
 
+def _exact_run(p: model.SimParams, closed_form: bool) -> tuple:
+    """Residuals of one figure run's exact propagation on FIGURE_GRID.
+
+    (unitarity, Bloch norm, the sector :class:`dynamics.SplitReport`, and the
+    Lambda closed form's deviation if ``closed_form``, else 0). Only what
+    these read is computed, the amplitudes, Bloch vectors and sector norms,
+    not dn/dt, and the closed form is compared one chunk of the grid at a
+    time; every array is dropped on return, so one run's are held at a time.
+    """
+    amps = dynamics.propagate_exact(p, FIGURE_GRID)
+    bloch = states.bloch_from_amplitudes(amps)
+    unit = np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0).max()
+    norm = np.abs((bloch**2).sum(axis=1) - model.BLOCH_NORM_SQ).max()
+    split = dynamics._split_report(p, *dynamics._sector_norms(bloch, p.config))
+    closed = 0.0
+    if closed_form:
+        for start in range(0, FIGURE_GRID.size, CHUNK):
+            part = slice(start, start + CHUNK)
+            closed_amps = dynamics.lambda_closed_form(p, FIGURE_GRID[part])
+            closed = max(closed, np.abs(closed_amps - amps[part]).max())
+    return unit, norm, split, closed
+
+
 def dynamics_suite() -> SuiteReport:
     report = SuiteReport()
     sets = figures.parameter_sets()
@@ -359,25 +408,19 @@ def dynamics_suite() -> SuiteReport:
     unit = norm = antisym = sector_dev = closed_dev = off_dev = generator_dev = worst_rk4 = 0.0
     kernel = 0.0
     rk4_grid = FIGURE_GRID[::RK4_STRIDE]
-    # One figure run at a time: all seven on this grid would hold 14 MB.
     for label, p in sets.items():
-        traj = dynamics.bloch_trajectory(p, FIGURE_GRID)
         row = model.row_formula(p)  # read through the module, so tests can patch it
         kernel = max(kernel, kernel_deviation(p, rk4_grid, [row(t) for t in rk4_grid.tolist()]))
-        unit = max(unit, np.abs((np.abs(traj.amplitudes) ** 2).sum(axis=1) - 1.0).max())
-        norm = max(norm, np.abs((traj.bloch**2).sum(axis=1) - model.BLOCH_NORM_SQ).max())
+        run_unit, run_norm, split, closed = _exact_run(p, label in ("lambda@0", "lambda@0.2"))
+        unit, norm, closed_dev = max(unit, run_unit), max(norm, run_norm), max(closed_dev, closed)
         m = dynamics.adjoint_generator(p)
         antisym = max(antisym, np.abs(m + m.T).max())
-        split = dynamics._split_report(p, traj)
         sector = max(split.max_dev4, split.max_dev2)
         if p.delta == 0.0:
             sector_dev = max(sector_dev, sector)
         if label == "lambda@1.2":
             off_dev = sector
             generator_dev = np.abs(m - lambda_generator_reference(p)).max()
-        if label in ("lambda@0", "lambda@0.2"):
-            closed = dynamics.lambda_closed_form(p, FIGURE_GRID)
-            closed_dev = max(closed_dev, np.abs(closed - traj.amplitudes).max())
         theta, estimate = dynamics.rk4_error_estimate(p, DT, T_MAX)
         dev = rk4_deviation(p)
         if estimate > RK4_GUARD_FRACTION * RK4_TOL:

@@ -36,7 +36,17 @@ time, not the run. A value set in the table is part of its values, so the
 helper's blocks carry it too. The first block that breaches an invariant
 ends the run with exit 3, and the drift line names that block's largest
 drift. The file holds the same bytes as from one process. There is no
-option for this. ``verify`` and ``cardinal`` import numpy when they run.
+option for this.
+
+``verify`` and ``cardinal`` import numpy when they run, on one BLAS thread:
+before numpy's first import in the process they set ``OPENBLAS_NUM_THREADS``
+to 1, unless it is set already (an in-process caller that has imported numpy
+keeps its threads). Their printed digits are the same with more threads. A
+``MemoryError``, or an ``ImportError`` from importing numpy, exits 2 with one
+``error: <command>: out of memory`` (or ``cannot import numpy``) line.
+OpenBLAS's own allocator, which fails in C, ends the process with exit 1 and
+its line ``OpenBLAS error: Memory allocation still failed ...``: the one
+exit this module cannot shape.
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import importlib
 import math
 import os
 import signal
@@ -310,8 +321,35 @@ def _is_stdout(path: Path) -> bool:
         return False
 
 
+def _with_numpy(command: str, module: str, run, arg: str) -> int:
+    """``run(arg)``'s exit code, with the numpy ``module`` it needs imported first.
+
+    ``module`` is ``numpy``, or ``numpy.random``, which numpy loads only on
+    first use, so that its import fails here. The thread rule and the exit-2
+    line are the module docstring's; once numpy is imported, OpenBLAS has
+    read its thread count, and the environment is left alone.
+    """
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    try:
+        try:
+            importlib.import_module(module)
+        except ImportError:
+            reason = "cannot import numpy"
+        else:
+            return run(arg)
+    except MemoryError:
+        reason = "out of memory"
+    print(f"error: {command}: {reason}", file=sys.stderr)
+    return 2
+
+
 def run_verify(scope: str = "all") -> int:
     """Run the named invariant suite(s); exit 0 only if every check passes."""
+    return _with_numpy(f"verify {config._echo(scope)}", "numpy.random", _verify, scope)
+
+
+def _verify(scope: str) -> int:
     from . import checks
 
     report = checks.run_suites(scope)
@@ -326,6 +364,10 @@ def run_verify(scope: str = "all") -> int:
 
 def run_cardinal(label: str) -> int:
     """Print angles, amplitudes, and Bloch vector of a cardinal state."""
+    return _with_numpy(f"cardinal {config._echo(label)}", "numpy", _cardinal, label)
+
+
+def _cardinal(label: str) -> int:
     from .states import bloch_from_amplitudes, cardinal_state
 
     angles, amps = cardinal_state(label)

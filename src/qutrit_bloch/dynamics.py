@@ -69,7 +69,8 @@ def propagate_exact(p: SimParams, times: np.ndarray) -> np.ndarray:
     """Amplitudes c(t) = exp(-i H t) c0 via eigendecomposition, shape (N, 3).
 
     H is real symmetric, so the eigendecomposition is orthogonal and the
-    propagation is unitary to machine precision at every time.
+    propagation is unitary to machine precision at every time. The phases
+    exp(-i E t) are formed and weighted in one (N, 3) array, in place.
     """
     times = _ascending(times)
     h = rotating_hamiltonian(p)
@@ -78,8 +79,10 @@ def propagate_exact(p: SimParams, times: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:  # unreachable for finite symmetric input
         raise ArithmeticError(f"eigendecomposition failed: {exc}") from exc
     weights = vectors.T @ np.array(p.c0)
-    phases = np.exp(-1j * np.outer(times, energies))
-    return (phases * weights) @ vectors.T
+    phases = -1j * np.outer(times, energies)
+    np.exp(phases, out=phases)
+    phases *= weights
+    return phases @ vectors.T
 
 
 def lambda_closed_form(p: SimParams, t) -> np.ndarray:
@@ -386,14 +389,15 @@ def resonance_split_check(p: SimParams, times: np.ndarray) -> SplitReport:
     resonance signature; any finite detuning mixes the sectors and the flag
     drops to False.
     """
-    return _split_report(p, bloch_trajectory(p, times))
+    traj = bloch_trajectory(p, times)
+    return _split_report(p, traj.sector4, traj.sector2)
 
 
-def _split_report(p: SimParams, traj: Trajectory) -> SplitReport:
-    """Deviation of ``traj``'s sector norms from :func:`sector_initial_norms` of ``p``."""
+def _split_report(p: SimParams, sector4: np.ndarray, sector2: np.ndarray) -> SplitReport:
+    """Deviation of the sector norms along a run from :func:`sector_initial_norms` of ``p``."""
     s4_0, s2_0 = sector_initial_norms(p)
-    dev4 = float(np.abs(traj.sector4 - s4_0).max())
-    dev2 = float(np.abs(traj.sector2 - s2_0).max())
+    dev4 = float(np.abs(sector4 - s4_0).max())
+    dev2 = float(np.abs(sector2 - s2_0).max())
     return SplitReport(
         s4_initial=s4_0, s2_initial=s2_0, max_dev4=dev4, max_dev2=dev2,
         split=(dev4 <= SplitReport.SPLIT_TOL and dev2 <= SplitReport.SPLIT_TOL),

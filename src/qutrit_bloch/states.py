@@ -149,6 +149,9 @@ def bloch_from_amplitudes(c: np.ndarray) -> np.ndarray:
 
     The 1/sqrt(3) prefactor of n8 is forced by Tr[lambda_8 rho]; any other
     value breaks the pure-state norm identity |n|^2 = 4/3.
+
+    Each component is written into the result as it is computed, with the
+    ufuncs of the formulas above in their order, so no (N, 8) temporary is made.
     """
     c = np.asarray(c, dtype=complex)
     if c.ndim not in (1, 2) or c.shape[-1] != 3:
@@ -156,19 +159,16 @@ def bloch_from_amplitudes(c: np.ndarray) -> np.ndarray:
     single = c.ndim == 1
     c = np.atleast_2d(c)
     c1, c2, c3 = c[:, 0], c[:, 1], c[:, 2]
+    n = np.empty((len(c), 8))
+    for k, (a, b) in zip((0, 3, 5), ((c1, c2), (c1, c3), (c2, c3))):
+        x = a.conj() * b
+        np.multiply(2.0, x.real, out=n[:, k])
+        np.multiply(2.0, x.imag, out=n[:, k + 1])
     p1, p2, p3 = np.abs(c1) ** 2, np.abs(c2) ** 2, np.abs(c3) ** 2
-    x12 = c1.conj() * c2
-    x13 = c1.conj() * c3
-    x23 = c2.conj() * c3
-    n = np.stack(
-        [
-            2.0 * x12.real, 2.0 * x12.imag, p1 - p2,
-            2.0 * x13.real, 2.0 * x13.imag,
-            2.0 * x23.real, 2.0 * x23.imag,
-            (p1 + p2 - 2.0 * p3) / _SQRT3,
-        ],
-        axis=-1,
-    )
+    np.subtract(p1, p2, out=n[:, 2])
+    n8 = np.add(p1, p2, out=n[:, 7])
+    n8 -= 2.0 * p3
+    n8 /= _SQRT3
     return n[0] if single else n
 
 

@@ -466,6 +466,26 @@ def test_run_verify_algebra(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("failure", ["memory", "import"])
+@pytest.mark.parametrize("command", ["verify", "cardinal"])
+def test_numpy_commands_exit_2_with_one_line(monkeypatch, capsys, command, failure):
+    # A MemoryError anywhere in the run, or numpy's import refused (verify
+    # also needs numpy.random, which numpy loads on first use), is one error
+    # line and exit 2, with nothing on stdout.
+    if failure == "memory":
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(checks, "run_suites", out_of_memory)
+        monkeypatch.setattr(states, "cardinal_state", out_of_memory)
+    else:
+        monkeypatch.setitem(sys.modules, "numpy.random" if command == "verify" else "numpy", None)
+    run, arg = {"verify": (run_verify, "all"), "cardinal": (run_cardinal, "one")}[command]
+    assert run(arg) == 2
+    reason = "out of memory" if failure == "memory" else "cannot import numpy"
+    assert capsys.readouterr() == ("", f"error: {command} {arg!r}: {reason}\n")
+
+
 def mutate(monkeypatch, owner, name: str, old: str, new: str) -> None:
     """Replace ``owner.name`` by a copy of its source in which ``old`` reads ``new``."""
     real = getattr(owner, name)
@@ -1240,6 +1260,67 @@ def test_simulate_memory_does_not_grow_with_rows(tmp_path, monkeypatch, fmt):
     assert peak(32) <= 1.5 * peak(2)
 
 
+def test_verify_suites_hold_one_chunk_at_a_time():
+    # The state suite maps its 10,000 angle samples a chunk at a time, and the
+    # dynamics suite holds one figure run's amplitudes, Bloch vectors and
+    # sector norms, no dn/dt. Whole-array versions peaked at 5.7 and 5.1 MB.
+    for suite in (checks.state_suite, checks.dynamics_suite):
+        suite()  # warm-up: the algebra tables and figure parameters are cached
+        tracemalloc.start()
+        try:
+            suite()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5e6, (suite.__name__, peak)
+
+
+def test_verify_residuals_do_not_depend_on_the_chunk(monkeypatch):
+    # Every call on a chunked path is elementwise, so each residual keeps its
+    # bits whatever the chunk, here one that divides neither sample.
+    default = [checks.state_suite(), checks.dynamics_suite()]
+    monkeypatch.setattr(checks, "CHUNK", 333)
+    for report, suite in zip(default, (checks.state_suite, checks.dynamics_suite)):
+        assert [r.residual for r in suite().results] == [r.residual for r in report.results]
+
+
+#: Address-space limits (MiB) for ``verify all`` children, from numpy's import
+#: refused (60) to a pass on one BLAS thread (180, where two threads ran out).
+VERIFY_LIMITS_MB = [60, 100, 140, 180]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
+def test_verify_under_memory_limits_prints_no_traceback():
+    # Each limit is set in the child only. A run exits 0; 1 with FAIL lines;
+    # 2 with one error line; or 1 with OpenBLAS's own allocator line, which
+    # ends the process from C: the one exit the CLI cannot shape.
+    import resource
+
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    # One child at a time: preexec_fn runs Python in the forked child, which
+    # is not safe while another thread of this process forks as well.
+    for mb in VERIFY_LIMITS_MB:
+        def limit(mb=mb):
+            resource.setrlimit(resource.RLIMIT_AS, (mb << 20, mb << 20))
+
+        result = subprocess.run([sys.executable, "-m", "qutrit_bloch.cli", "verify", "all"],
+                                env=env, preexec_fn=limit, capture_output=True, text=True,
+                                timeout=120)
+        case = (mb, result.returncode, result.stdout[-200:], result.stderr[-400:])
+        assert "Traceback" not in result.stderr, case
+        if result.returncode == 0:
+            assert result.stderr == "" and result.stdout.endswith(" checks passed\n"), case
+        elif result.returncode == 1 and result.stdout:
+            assert result.stderr == "" and "\nFAIL " in "\n" + result.stdout, case
+        elif result.returncode == 1:
+            assert re.fullmatch(r"OpenBLAS error: Memory allocation still failed after \d+"
+                                r" retries, giving up\.\n", result.stderr), case
+        else:
+            assert result.returncode == 2 and result.stdout == "", case
+            assert re.fullmatch(r"error: verify 'all': (out of memory|cannot import numpy)\n",
+                                result.stderr), case
+
+
 @pytest.mark.parametrize("failure", ["helper_raises", "helper_status", "helper_killed",
                                      "no_fork", "parent_fails", "parent_out_of_memory"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1370,6 +1451,30 @@ def test_simulate_forks_a_single_threaded_process_without_numpy(tmp_path, fmt):
                             text=True, timeout=60, check=True)
     assert result.stdout.splitlines()[-1] == "0 [(1, False)] False"
     assert result.stderr == ""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc/self/status")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_verify_runs_numpy_on_one_blas_thread(preset):
+    # Before numpy's first import, verify sets OPENBLAS_NUM_THREADS to 1, so
+    # the process has no OpenBLAS worker thread; a value already set is kept.
+    code = textwrap.dedent("""
+        import os, re
+        from qutrit_bloch import cli
+        code = cli.main(["verify", "algebra"])
+        with open("/proc/self/status") as fh:
+            threads = re.search(r"^Threads:\\s+(\\d+)", fh.read(), re.M).group(1)
+        print(code, os.environ["OPENBLAS_NUM_THREADS"], threads)
+    """)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    code, value, threads = result.stdout.splitlines()[-1].split()
+    assert (code, value) == ("0", preset or "1")
+    if preset is None:
+        assert threads == "1"
 
 
 #: Settings that change numpy's SIMD dispatch and OpenBLAS's kernel; simulate

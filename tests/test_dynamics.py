@@ -105,6 +105,45 @@ def test_propagate_unitarity(base, delta):
     assert np.abs(norms - 1.0).max() <= UNITARITY_TOL
 
 
+def reference_propagate(p, times):
+    """:func:`propagate_exact`'s formula with a new array for each step."""
+    energies, vectors = np.linalg.eigh(rotating_hamiltonian(p))
+    weights = vectors.T @ np.array(p.c0)
+    phases = np.exp(-1j * np.outer(times, energies))
+    return (phases * weights) @ vectors.T
+
+
+def reference_bloch(c):
+    """:func:`bloch_from_amplitudes`' formulas on a stack, as one ``np.stack``."""
+    c1, c2, c3 = c[:, 0], c[:, 1], c[:, 2]
+    p1, p2, p3 = np.abs(c1) ** 2, np.abs(c2) ** 2, np.abs(c3) ** 2
+    x12, x13, x23 = c1.conj() * c2, c1.conj() * c3, c2.conj() * c3
+    return np.stack([2.0 * x12.real, 2.0 * x12.imag, p1 - p2, 2.0 * x13.real, 2.0 * x13.imag,
+                     2.0 * x23.real, 2.0 * x23.imag, (p1 + p2 - 2.0 * p3) / SQ3], axis=-1)
+
+
+@pytest.mark.parametrize("label", sorted(figures.parameter_sets()))
+def test_in_place_propagation_and_bloch_map_match_reference(label):
+    # Building the result in place keeps every bit of the figure runs verify checks.
+    p = figures.parameter_sets()[label]
+    amps = propagate_exact(p, checks.FIGURE_GRID)
+    assert np.array_equal(amps, reference_propagate(p, checks.FIGURE_GRID))
+    assert np.array_equal(bloch_from_amplitudes(amps), reference_bloch(amps))
+
+
+def test_in_place_propagation_and_bloch_map_match_reference_on_random_input():
+    rng = np.random.default_rng(31)
+    c = rng.normal(size=(1001, 3)) + 1j * rng.normal(size=(1001, 3))
+    n = bloch_from_amplitudes(c)
+    assert np.array_equal(n, reference_bloch(c))
+    assert np.array_equal(bloch_from_amplitudes(c[7]), n[7])
+    times = np.cumsum(rng.uniform(0.01, 1.0, size=1001))
+    c0 = c[0] / np.linalg.norm(c[0])
+    for config in Configuration:
+        p = SimParams(config, *rng.uniform(0.1, 2.0, size=3), c0=tuple(c0))
+        assert np.array_equal(propagate_exact(p, times), reference_propagate(p, times))
+
+
 def test_lambda_rabi_return():
     # With c0 = |1> at resonance the population returns (up to a global
     # minus) after one full cycle 2 pi / Omega of the bright doublet.
