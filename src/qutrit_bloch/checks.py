@@ -14,10 +14,10 @@ time grid, so ``verify`` is the installable self-check of the library.
 
 Memory is bounded by a chunk, not by the sample: the state suite maps its
 angle samples :data:`CHUNK` at a time, and the dynamics suite holds one
-figure run at a time, of it only the amplitudes, Bloch vectors and sector
-norms its checks read, and compares the Lambda closed form one chunk of the
-grid at a time. Every call on a chunked path is elementwise, so each residual
-has the same bits as from the whole array; the BLAS product inside
+figure run's trajectory (amplitudes, Bloch vectors and sector norms) at a
+time, and compares the Lambda closed form one chunk of the grid at a time.
+Every call on a chunked path is elementwise, so each residual has the same
+bits as from the whole array; the BLAS product inside
 ``dynamics.propagate_exact`` is not chunked, because its last bits can
 depend on how OpenBLAS blocks the rows it is given.
 """
@@ -175,10 +175,10 @@ class SuiteReport:
 # Canonical nonzero structure constants (one-based indices); F_REFERENCE,
 # the antisymmetric ones, lives in ``model``, which builds M from it.
 D_REFERENCE = {
-    (1, 1, 8): 1.0 / math.sqrt(3.0), (2, 2, 8): 1.0 / math.sqrt(3.0),
-    (3, 3, 8): 1.0 / math.sqrt(3.0), (8, 8, 8): -1.0 / math.sqrt(3.0),
-    (4, 4, 8): -0.5 / math.sqrt(3.0), (5, 5, 8): -0.5 / math.sqrt(3.0),
-    (6, 6, 8): -0.5 / math.sqrt(3.0), (7, 7, 8): -0.5 / math.sqrt(3.0),
+    (1, 1, 8): 1.0 / model._SQRT3, (2, 2, 8): 1.0 / model._SQRT3,
+    (3, 3, 8): 1.0 / model._SQRT3, (8, 8, 8): -1.0 / model._SQRT3,
+    (4, 4, 8): -0.5 / model._SQRT3, (5, 5, 8): -0.5 / model._SQRT3,
+    (6, 6, 8): -0.5 / model._SQRT3, (7, 7, 8): -0.5 / model._SQRT3,
     (1, 4, 6): 0.5, (1, 5, 7): 0.5, (2, 4, 7): -0.5, (2, 5, 6): 0.5,
     (3, 4, 4): 0.5, (3, 5, 5): 0.5, (3, 6, 6): -0.5, (3, 7, 7): -0.5,
 }
@@ -379,19 +379,18 @@ def kernel_deviation(p: model.SimParams, times: np.ndarray, rows) -> float:
 
 
 def _exact_run(p: model.SimParams, closed_form: bool) -> tuple:
-    """Residuals of one figure run's exact propagation on FIGURE_GRID.
+    """Residuals of one figure run's :func:`dynamics.bloch_trajectory` on FIGURE_GRID.
 
     (unitarity, Bloch norm, the sector :class:`dynamics.SplitReport`, and the
-    Lambda closed form's deviation if ``closed_form``, else 0). Only what
-    these read is computed, the amplitudes, Bloch vectors and sector norms,
-    not dn/dt, and the closed form is compared one chunk of the grid at a
-    time; every array is dropped on return, so one run's are held at a time.
+    Lambda closed form's deviation if ``closed_form``, else 0). The closed
+    form is compared one chunk of the grid at a time; the trajectory is
+    dropped on return, so one run's arrays are held at a time.
     """
-    amps = dynamics.propagate_exact(p, FIGURE_GRID)
-    bloch = states.bloch_from_amplitudes(amps)
+    traj = dynamics.bloch_trajectory(p, FIGURE_GRID)
+    amps = traj.amplitudes
     unit = np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0).max()
-    norm = np.abs((bloch**2).sum(axis=1) - model.BLOCH_NORM_SQ).max()
-    split = dynamics._split_report(p, *dynamics._sector_norms(bloch, p.config))
+    norm = np.abs((traj.bloch**2).sum(axis=1) - model.BLOCH_NORM_SQ).max()
+    split = dynamics._split_report(p, traj.sector4, traj.sector2)
     closed = 0.0
     if closed_form:
         for start in range(0, FIGURE_GRID.size, CHUNK):
@@ -485,7 +484,7 @@ def lambda_generator_reference(p) -> np.ndarray:
     pair(4, 5, -d)
     pair(4, 7, -g * k23)
     pair(5, 6, g * k23)
-    pair(5, 8, -math.sqrt(3.0) * g * k13)
+    pair(5, 8, -model._SQRT3 * g * k13)
     return m
 
 

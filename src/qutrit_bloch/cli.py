@@ -46,7 +46,8 @@ keeps its threads). Their printed digits are the same with more threads. A
 ``error: <command>: out of memory`` (or ``cannot import numpy``) line.
 OpenBLAS's own allocator, which fails in C, ends the process with exit 1 and
 its line ``OpenBLAS error: Memory allocation still failed ...``: the one
-exit this module cannot shape.
+exit this module cannot shape once it runs. With too little address space
+to import the package, Python's own traceback and exit 1 come before it runs.
 """
 
 from __future__ import annotations

@@ -161,18 +161,17 @@ def _sector_norms(bloch: np.ndarray, config: Configuration) -> tuple[np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time grid plus the amplitudes, Bloch vectors, dn/dt = M n and sector norms on it.
+    """Time grid plus the amplitudes, Bloch vectors and sector norms on it.
 
     The numpy counterpart of ``simulate``'s table, whose rows come from
-    :func:`model.row_formula`; ``checks.kernel_deviation`` compares the two.
-    ``amplitudes`` is None for trajectories produced by direct Bloch-space
-    integration, which never touches amplitudes.
+    :func:`model.row_formula`; ``checks.kernel_deviation`` compares the two
+    and forms dn/dt = M n itself. ``amplitudes`` is None for trajectories
+    produced by direct Bloch-space integration, which never touches amplitudes.
     """
 
     times: np.ndarray
     amplitudes: np.ndarray | None
     bloch: np.ndarray
-    bloch_dot: np.ndarray
     sector4: np.ndarray
     sector2: np.ndarray
 
@@ -188,22 +187,12 @@ def _ascending(times) -> np.ndarray:
     return times
 
 
-def _trajectory(
-    p: SimParams, times: np.ndarray, amps: np.ndarray | None, bloch: np.ndarray, m: np.ndarray
-) -> Trajectory:
-    """The Trajectory of ``bloch`` on ``times``: adds dn/dt = M n and the sector norms."""
-    return Trajectory(times, amps, bloch, bloch @ m.T, *_sector_norms(bloch, p.config))
-
-
 def bloch_trajectory(p: SimParams, times: np.ndarray) -> Trajectory:
-    """Exact-propagator trajectory: amplitudes, Bloch vectors, derivatives.
-
-    Derivatives are evaluated algebraically as dn/dt = M n with the adjoint
-    generator, not by finite differences.
-    """
+    """Exact-propagator trajectory: amplitudes, Bloch vectors, sector norms."""
     times = np.asarray(times, dtype=float)  # propagate_exact checks the grid
     amps = propagate_exact(p, times)
-    return _trajectory(p, times, amps, bloch_from_amplitudes(amps), adjoint_generator(p))
+    bloch = bloch_from_amplitudes(amps)
+    return Trajectory(times, amps, bloch, *_sector_norms(bloch, p.config))
 
 
 def integrate_bloch_ode(p: SimParams, times: np.ndarray, dt: float) -> Trajectory:
@@ -258,7 +247,7 @@ def integrate_bloch_ode(p: SimParams, times: np.ndarray, dt: float) -> Trajector
             powers[count] = np.linalg.matrix_power(step, count)
         n = powers[count] @ n
         out[i + 1] = n
-    return _trajectory(p, times, None, out, m)
+    return Trajectory(times, None, out, *_sector_norms(out, p.config))
 
 
 def rk4_error_estimate(p: SimParams, dt: float, t_max: float) -> tuple[float, float]:

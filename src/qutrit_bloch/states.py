@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ATOL_NUMERIC, CARDINAL_ANGLES, CARDINAL_LABELS
+from .model import _SQRT3, ATOL_NUMERIC, CARDINAL_ANGLES, CARDINAL_LABELS
 from .su3 import _gellmann_traces, _real_part, gellmann_basis
 
 __all__ = [
@@ -42,8 +42,6 @@ __all__ = [
 
 #: Eigenvalues of a reconstructed density matrix may undershoot zero by this much.
 PSD_TOL = 1e-10
-
-_SQRT3 = math.sqrt(3.0)
 
 #: The largest |n_k| the PSD_TOL check admits, (2/sqrt(3))(1 + 3 PSD_TOL) for n_8.
 _COMPONENT_BOUND = 2.0 / _SQRT3 + 2.0 * _SQRT3 * PSD_TOL

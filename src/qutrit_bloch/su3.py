@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from .model import ATOL_EXACT, ATOL_NUMERIC, PERMUTATION_SIGN
+from .model import _SQRT3, ATOL_EXACT, ATOL_NUMERIC, PERMUTATION_SIGN
 
 __all__ = [
     "ConsistencyError",
@@ -27,8 +27,6 @@ __all__ = [
     "shift_operator",
     "structure_constants",
 ]
-
-_SQRT3 = np.sqrt(3.0)
 
 
 class ConsistencyError(RuntimeError):

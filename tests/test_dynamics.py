@@ -191,13 +191,14 @@ def test_trajectory_sector_norms_fig_lambda():
 
 
 def test_trajectory_derivative_matches_liouville():
-    # Independent route: dn_k/dt = Tr[lam_k (-i [H, rho])].
+    # dn/dt = M n on the trajectory, against an independent route:
+    # dn_k/dt = Tr[lam_k (-i [H, rho])].
     lam = gellmann_basis()
     for base, delta in ((FIG_LAMBDA, 0.7), (FIG_VEE, 0.3), (FIG_XI, 20.0)):
         p = params(base, delta=delta)
         traj = bloch_trajectory(p, np.array([0.0, 2.0, 11.0]))
         h = rotating_hamiltonian(p)
-        for c, dn in zip(traj.amplitudes, traj.bloch_dot):
+        for c, dn in zip(traj.amplitudes, traj.bloch @ adjoint_generator(p).T):
             rho = density_from_state(c)
             drho = -1j * (h @ rho - rho @ h)
             direct = np.array([np.trace(lam[k] @ drho).real for k in range(1, 9)])
@@ -544,7 +545,7 @@ def test_invariants_across_parameter_space(p, t, s):
     h = rotating_hamiltonian(p)
     rho = density_from_state(traj.amplitudes)
     oracle = bloch_from_density(-1j * (h @ rho - rho @ h))
-    assert np.abs(traj.bloch_dot - oracle).max() <= 1e-12 * (1.0 + np.abs(h).max())
+    assert np.abs(traj.bloch @ m.T - oracle).max() <= 1e-12 * (1.0 + np.abs(h).max())
 
     assert np.abs(unitary(p, t + s) - unitary(p, t) @ unitary(p, s)).max() <= 1e-12
 
