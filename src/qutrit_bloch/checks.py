@@ -13,13 +13,13 @@ results of these same suites, with the dynamics checks on the figures' own
 time grid, so ``verify`` is the installable self-check of the library.
 
 Memory is bounded by a chunk, not by the sample: the state suite maps its
-angle samples :data:`CHUNK` at a time, and the dynamics suite holds one
-figure run's trajectory (amplitudes, Bloch vectors and sector norms) at a
-time, and compares the Lambda closed form one chunk of the grid at a time.
-Every call on a chunked path is elementwise, so each residual has the same
-bits as from the whole array; the BLAS product inside
-``dynamics.propagate_exact`` is not chunked, because its last bits can
-depend on how OpenBLAS blocks the rows it is given.
+angle samples :data:`CHUNK` at a time, and the dynamics suite propagates each
+figure run once, holds that one trajectory at a time, compares the Lambda
+closed form with it a chunk at a time, and reads a copy of its every
+RK4_STRIDE-th row for the RK4 and kernel checks. Every call on a chunked path
+is elementwise, so each residual has the same bits as from the whole array;
+the BLAS product inside ``dynamics.propagate_exact`` is not chunked, because
+its last bits can depend on how OpenBLAS blocks the rows it is given.
 """
 
 from __future__ import annotations
@@ -341,14 +341,12 @@ def state_suite() -> SuiteReport:
     return report
 
 
-def rk4_deviation(p: model.SimParams) -> float:
-    """Largest Bloch-vector deviation of RK4 (step DT) from the exact propagator.
+def rk4_deviation(p: model.SimParams, exact: dynamics.Trajectory) -> float:
+    """Largest Bloch-vector deviation of RK4 (step DT) from ``exact``, on ``exact.times``.
 
-    Compared on every RK4_STRIDE-th point of FIGURE_GRID, up to T_MAX.
+    ``verify`` passes a figure run's RK4 rows: every RK4_STRIDE-th row of its one trajectory.
     """
-    times = FIGURE_GRID[::RK4_STRIDE]
-    rk = dynamics.integrate_bloch_ode(p, times, DT)
-    exact = dynamics.bloch_trajectory(p, times)
+    rk = dynamics.integrate_bloch_ode(p, exact.times, DT)
     return float(np.abs(rk.bloch - exact.bloch).max())
 
 
@@ -358,46 +356,48 @@ def oracle_generator(p: model.SimParams) -> np.ndarray:
     return 2.0 * np.einsum("j,jlk->kl", h, su3.structure_constants().f)
 
 
-def kernel_deviation(p: model.SimParams, times: np.ndarray, rows) -> float:
-    """Largest deviation of the table ``rows`` (N, 20) from the numpy oracle on ``times``.
+def kernel_deviation(p: model.SimParams, exact: dynamics.Trajectory, rows) -> float:
+    """Largest deviation of the table ``rows`` (N, 20) from the numpy oracle on ``exact.times``.
 
     The oracle is independent of the plain-float row formula ``simulate``
-    writes: n and the sector norms (numpy sums) from ``bloch_trajectory``
-    (LAPACK's eigh, complex exp), dn = M n with M from :func:`oracle_generator`,
-    and |n|^2 from an einsum.
+    writes: n and the sector norms (numpy sums) from the ``exact`` trajectory
+    of :func:`dynamics.bloch_trajectory` (LAPACK's eigh, complex exp),
+    dn = M n with M from :func:`oracle_generator`, and |n|^2 from an einsum.
     Each column's deviation is divided by its own scale, its largest oracle
     magnitude but at least 1.
     """
-    traj = dynamics.bloch_trajectory(p, times)
-    bloch = traj.bloch
+    bloch = exact.bloch
     reference = np.column_stack([
-        times, bloch, bloch @ oracle_generator(p).T, traj.sector4, traj.sector2,
+        exact.times, bloch, bloch @ oracle_generator(p).T, exact.sector4, exact.sector2,
         np.einsum("ij,ij->i", bloch, bloch),
     ])
     scale = np.maximum(np.abs(reference).max(axis=0), 1.0)
     return float((np.abs(np.asarray(rows) - reference) / scale).max())
 
 
-def _exact_run(p: model.SimParams, closed_form: bool) -> tuple:
-    """Residuals of one figure run's :func:`dynamics.bloch_trajectory` on FIGURE_GRID.
+def _figure_run(label: str, p: model.SimParams) -> tuple:
+    """Residuals of figure run ``label``, all read from its one trajectory on FIGURE_GRID.
 
-    (unitarity, Bloch norm, the sector :class:`dynamics.SplitReport`, and the
-    Lambda closed form's deviation if ``closed_form``, else 0). The closed
-    form is compared one chunk of the grid at a time; the trajectory is
-    dropped on return, so one run's arrays are held at a time.
+    (unitarity, Bloch norm, :class:`dynamics.SplitReport`, the Lambda closed form a chunk
+    at a time on lambda@0 and lambda@0.2 else 0, kernel, RK4). The last two read a copy of
+    every RK4_STRIDE-th row, taken before the full grid's arrays are dropped.
     """
     traj = dynamics.bloch_trajectory(p, FIGURE_GRID)
-    amps = traj.amplitudes
-    unit = np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0).max()
+    unit = np.abs((np.abs(traj.amplitudes) ** 2).sum(axis=1) - 1.0).max()
     norm = np.abs((traj.bloch**2).sum(axis=1) - model.BLOCH_NORM_SQ).max()
     split = dynamics._split_report(p, traj.sector4, traj.sector2)
     closed = 0.0
-    if closed_form:
+    if label in ("lambda@0", "lambda@0.2"):
         for start in range(0, FIGURE_GRID.size, CHUNK):
             part = slice(start, start + CHUNK)
             closed_amps = dynamics.lambda_closed_form(p, FIGURE_GRID[part])
-            closed = max(closed, np.abs(closed_amps - amps[part]).max())
-    return unit, norm, split, closed
+            closed = max(closed, np.abs(closed_amps - traj.amplitudes[part]).max())
+    rk4_rows = dynamics.Trajectory(*(a[::RK4_STRIDE].copy() for a in (
+        traj.times, traj.amplitudes, traj.bloch, traj.sector4, traj.sector2)))
+    del traj
+    row = model.row_formula(p)  # read through the module, so tests can patch it
+    kernel = kernel_deviation(p, rk4_rows, [row(t) for t in rk4_rows.times.tolist()])
+    return unit, norm, split, closed, kernel, rk4_deviation(p, rk4_rows)
 
 
 def dynamics_suite() -> SuiteReport:
@@ -406,12 +406,10 @@ def dynamics_suite() -> SuiteReport:
 
     unit = norm = antisym = sector_dev = closed_dev = off_dev = generator_dev = worst_rk4 = 0.0
     kernel = 0.0
-    rk4_grid = FIGURE_GRID[::RK4_STRIDE]
     for label, p in sets.items():
-        row = model.row_formula(p)  # read through the module, so tests can patch it
-        kernel = max(kernel, kernel_deviation(p, rk4_grid, [row(t) for t in rk4_grid.tolist()]))
-        run_unit, run_norm, split, closed = _exact_run(p, label in ("lambda@0", "lambda@0.2"))
+        run_unit, run_norm, split, closed, run_kernel, dev = _figure_run(label, p)
         unit, norm, closed_dev = max(unit, run_unit), max(norm, run_norm), max(closed_dev, closed)
+        kernel = max(kernel, run_kernel)
         m = dynamics.adjoint_generator(p)
         antisym = max(antisym, np.abs(m + m.T).max())
         sector = max(split.max_dev4, split.max_dev2)
@@ -421,7 +419,6 @@ def dynamics_suite() -> SuiteReport:
             off_dev = sector
             generator_dev = np.abs(m - lambda_generator_reference(p)).max()
         theta, estimate = dynamics.rk4_error_estimate(p, DT, T_MAX)
-        dev = rk4_deviation(p)
         if estimate > RK4_GUARD_FRACTION * RK4_TOL:
             report.notes.append(
                 f"dynamics/oracle-triangle-rk4: {label} skipped at dt={DT:g}:"

@@ -163,10 +163,10 @@ def _sector_norms(bloch: np.ndarray, config: Configuration) -> tuple[np.ndarray,
 class Trajectory:
     """Time grid plus the amplitudes, Bloch vectors and sector norms on it.
 
-    The numpy counterpart of ``simulate``'s table, whose rows come from
-    :func:`model.row_formula`; ``checks.kernel_deviation`` compares the two
-    and forms dn/dt = M n itself. ``amplitudes`` is None for trajectories
-    produced by direct Bloch-space integration, which never touches amplitudes.
+    The numpy counterpart of ``simulate``'s table (:func:`model.row_formula`);
+    ``verify``'s kernel and RK4 checks read every ``checks.RK4_STRIDE``-th row
+    of a figure run's one trajectory (``checks.kernel_deviation`` forms dn/dt = M n).
+    ``amplitudes`` is None for RK4's, which never touches amplitudes.
     """
 
     times: np.ndarray
@@ -198,9 +198,9 @@ def bloch_trajectory(p: SimParams, times: np.ndarray) -> Trajectory:
 def integrate_bloch_ode(p: SimParams, times: np.ndarray, dt: float) -> Trajectory:
     """Fixed-step classical RK4 integration of dn/dt = M n from n(0).
 
-    ``times`` is the output grid; every grid interval must be an integer
-    multiple of the step ``dt`` (no interpolation, no adaptivity). The
-    integration is purely Bloch-space: amplitudes are not tracked.
+    ``times`` is the output grid; it starts at 0, and every grid interval must
+    be an integer multiple of the step ``dt`` (no interpolation, no adaptivity).
+    The integration is purely Bloch-space: amplitudes are not tracked.
 
     M is constant, so one RK4 step is the fixed linear map
     R(dt M) = I + dt M + (dt M)^2/2 + (dt M)^3/6 + (dt M)^4/24, the RK4
@@ -216,6 +216,8 @@ def integrate_bloch_ode(p: SimParams, times: np.ndarray, dt: float) -> Trajector
     Delta for the Xi ladder). See docs/derivation_notes.md.
     """
     times = _ascending(times)
+    if times[0] != 0.0:
+        raise ValueError(f"RK4 starts from n(0): the time grid must start at 0, got {times[0]}")
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     gaps = np.diff(times)

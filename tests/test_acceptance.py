@@ -84,7 +84,8 @@ def test_criterion_06_off_resonance_split_vanishes(suites):
     ],
 )
 def test_criterion_07_oracle_triangle_rk4(suites, label):
-    dev = checks.rk4_deviation(SETS[label])
+    p = SETS[label]
+    dev = checks.rk4_deviation(p, bloch_trajectory(p, checks.FIGURE_GRID[::checks.RK4_STRIDE]))
     detail = f"RK4(dt={checks.DT}) vs exact on {label}: max dev {dev:.3e} (tol {checks.RK4_TOL:g})"
     # verify skips the unresolvable runs with an INFO note that says why.
     detail += "".join(f"; {note}" for note in suites.notes if f": {label} skipped" in note)
@@ -216,7 +217,7 @@ def test_criterion_11_cli_matches_independent_propagator(suites, cli_tables):
     assert len(cli_tables) == 12
     for name, table in cli_tables.items():
         p = figures.load_figure(name).params
-        dev = checks.kernel_deviation(p, checks.FIGURE_GRID, table)
+        dev = checks.kernel_deviation(p, bloch_trajectory(p, checks.FIGURE_GRID), table)
         assert dev <= checks.KERNEL_TOL, f"{name}: {dev:.3e}"
 
 

@@ -1266,8 +1266,9 @@ def test_verify_suites_hold_one_chunk_at_a_time():
     # The state suite maps its 10,000 angle samples a chunk at a time, and the
     # dynamics suite holds one figure run's trajectory (amplitudes, Bloch
     # vectors and sector norms) at a time. They peak at 2.4 and 2.1 MB;
-    # whole-array versions peaked at 5.7 and 5.1 MB.
-    for suite in (checks.state_suite, checks.dynamics_suite):
+    # whole-array versions peaked at 5.7 and 5.1 MB, and a dynamics suite that
+    # keeps the previous run's trajectory alive through the next at 3.4 MB.
+    for suite, bound in ((checks.state_suite, 3.5e6), (checks.dynamics_suite, 2.7e6)):
         suite()  # warm-up: the algebra tables and figure parameters are cached
         tracemalloc.start()
         try:
@@ -1275,7 +1276,18 @@ def test_verify_suites_hold_one_chunk_at_a_time():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5e6, (suite.__name__, peak)
+        assert peak < bound, (suite.__name__, peak)
+
+
+def test_verify_propagates_each_figure_run_once(monkeypatch):
+    # One exact trajectory per figure run feeds all of its checks, RK4 and
+    # simulate's kernel included, plus one propagation per periodicity pair.
+    real = dynamics.propagate_exact
+    calls = []
+    monkeypatch.setattr(dynamics, "propagate_exact",
+                        lambda p, times: calls.append(len(times)) or real(p, times))
+    checks.dynamics_suite()
+    assert calls == [checks.FIGURE_GRID.size] * 7 + [2] * 6  # the figure runs, then the pairs
 
 
 def test_verify_residuals_do_not_depend_on_the_chunk(monkeypatch):

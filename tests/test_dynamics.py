@@ -314,6 +314,14 @@ def test_integrate_step_grid_mismatch_rejected():
         integrate_bloch_ode(p, np.array([0.0, 1.0]), -0.1)
 
 
+@pytest.mark.parametrize("times", [[1.0, 1.5, 2.0], [-0.5, 0.0, 0.5]], ids=["late", "early"])
+def test_integrate_refuses_a_grid_not_starting_at_0(times):
+    # RK4 starts from n(0), which it would report as the value at times[0]:
+    # on the late grid that made lambda@0 deviate 9.8e-02 from the exact propagator.
+    with pytest.raises(ValueError, match=f"must start at 0, got {times[0]}"):
+        integrate_bloch_ode(figures.parameter_sets()["lambda@0"], times, 0.5)
+
+
 @pytest.mark.parametrize("dt,steps", [(1e-300, r"1e\+300"), (5e-324, "inf")],
                          ids=["past-int64", "overflowing"])
 def test_integrate_refuses_a_step_count_past_int64(dt, steps):
@@ -537,7 +545,7 @@ def test_invariants_across_parameter_space(p, t, s):
     assert np.abs((traj.bloch**2).sum(axis=1) - BLOCH_NORM_SQ).max() <= 1e-12
     # simulate's plain-float rows, held to verify's oracle and bound.
     rows = list(map(model.row_formula(p), times.tolist()))
-    assert checks.kernel_deviation(p, times, rows) <= checks.KERNEL_TOL
+    assert checks.kernel_deviation(p, traj, rows) <= checks.KERNEL_TOL
 
     m = adjoint_generator(p)
     assert np.array_equal(m, -m.T)
