@@ -3,6 +3,8 @@
 Every check measures a residual against a pinned bound. Each check's
 statement and bound live in one place, the :data:`CHECKS` table: a suite
 reports only a name and a residual, and the tests read the bounds from there.
+A suite reports each residual where it computes it, and :class:`SuiteReport`
+keeps each check's worst: a NaN, or a check that no run reported, fails.
 Suites are pure and deterministic (fixed seeds) and take no parameters. The
 random samples come from fixed-seed streams, drawn in the same order as one
 sample at a time; the arithmetic on them runs as array calls that give the
@@ -25,7 +27,7 @@ its last bits can depend on how OpenBLAS blocks the rows it is given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -158,18 +160,35 @@ class CheckResult:
         )
 
 
-@dataclass
 class SuiteReport:
-    results: list[CheckResult] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    """The checks of some of ``model.VERIFY_SCOPES``, with INFO notes.
+
+    A check reported any number of times keeps the residual that fails worst
+    under its :data:`CHECKS` comparison (the largest for ``<=``, the smallest
+    for ``>``; a NaN over any number). ``results`` lists the covered scopes'
+    CHECKS entries in table order; one never reported reads NaN, so it fails.
+    """
+
+    def __init__(self, *scopes: str) -> None:
+        self._scopes = list(scopes)
+        self.notes: list[str] = []
+        self._worst: dict[str, float] = {}
 
     def add(self, name: str, residual: float) -> None:
-        """Record check ``name``'s residual, held to its :data:`CHECKS` entry."""
-        self.results.append(CheckResult(name, float(residual), CHECKS[name]))
+        """Report a residual of check ``name``, held to its :data:`CHECKS` entry."""
+        worse = np.maximum if CHECKS[name].comparison == "<=" else np.minimum  # NaN wins
+        self._worst[name] = float(worse(self._worst.get(name, residual), residual))
+
+    @property
+    def results(self) -> list[CheckResult]:
+        return [CheckResult(name, self._worst.get(name, math.nan), check)
+                for name, check in CHECKS.items() if name.split("/")[0] in self._scopes]
 
     def extend(self, other: "SuiteReport") -> None:
-        self.results.extend(other.results)
-        self.notes.extend(other.notes)
+        self._scopes += other._scopes
+        self.notes += other.notes
+        for name, residual in other._worst.items():
+            self.add(name, residual)
 
 
 # Canonical nonzero structure constants (one-based indices); F_REFERENCE,
@@ -208,16 +227,16 @@ def _reference_table(values: dict, antisymmetric: bool) -> np.ndarray:
 
 
 def algebra_suite() -> SuiteReport:
-    report = SuiteReport()
+    report = SuiteReport("algebra")
     lam = su3.gellmann_basis()
 
     gram = su3._gellmann_traces(lam[1:])[:, 1:].real  # Tr[lam_k lam_l], k, l >= 1
     report.add("algebra/gellmann-orthogonality", np.abs(gram - 2.0 * np.eye(8)).max())
 
-    herm = np.abs(lam - lam.conj().swapaxes(1, 2)).max()
-    traces = np.abs(np.trace(lam[1:], axis1=1, axis2=2)).max()
-    report.add("algebra/gellmann-hermitian-traceless",
-               max(herm, traces, abs(np.trace(lam[0]) - 3.0)))
+    name = "algebra/gellmann-hermitian-traceless"
+    report.add(name, np.abs(lam - lam.conj().swapaxes(1, 2)).max())
+    report.add(name, np.abs(np.trace(lam[1:], axis1=1, axis2=2)).max())
+    report.add(name, abs(np.trace(lam[0]) - 3.0))
 
     sc = su3.structure_constants()
     report.add("algebra/f-table-reference",
@@ -240,14 +259,12 @@ def algebra_suite() -> SuiteReport:
         np.stack([su3.shift_operator(fam, kind) for fam in ("T", "V", "U")])
         for kind in ("plus", "minus", "three")
     )
-    report.add("algebra/shift-commutators", max(
-        np.abs(su3.commutator(plus, minus) - three).max(),
-        np.abs(su3.commutator(plus, three) + 2.0 * plus).max(),
-        np.abs(su3.commutator(minus, three) - 2.0 * minus).max(),
-    ))
+    name = "algebra/shift-commutators"
+    report.add(name, np.abs(su3.commutator(plus, minus) - three).max())
+    report.add(name, np.abs(su3.commutator(plus, three) + 2.0 * plus).max())
+    report.add(name, np.abs(su3.commutator(minus, three) - 2.0 * minus).max())
 
     basis_vecs = np.eye(3, dtype=complex)
-    worst = 0.0
     for (fam, kind), actions in SHIFT_ACTIONS.items():
         op = su3.shift_operator(fam, kind)
         for src, action in enumerate(actions):
@@ -255,8 +272,7 @@ def algebra_suite() -> SuiteReport:
             if action is not None:
                 target, sign = action
                 expected[target - 1] = sign
-            worst = max(worst, np.abs(op @ basis_vecs[src] - expected).max())
-    report.add("algebra/shift-actions", worst)
+            report.add("algebra/shift-actions", np.abs(op @ basis_vecs[src] - expected).max())
     return report
 
 
@@ -301,43 +317,39 @@ def random_mixtures(count: int) -> np.ndarray:
 
 
 def state_suite() -> SuiteReport:
-    report = SuiteReport()
+    report = SuiteReport("state")
     angles = sample_angles(ANGLE_SAMPLES)
-    param_norm = sphere = equivalence = idempotency = roundtrip = 0.0
-    # The largest of each chunk's largest residual is the sample's largest.
     for start in range(0, ANGLE_SAMPLES, CHUNK):
         part = slice(start, start + CHUNK)
         chunk = states.AngleParams(
             angles.theta1[part], angles.theta2[part], angles.phi1[part], angles.phi2[part])
         amps = states.state_from_angles(chunk)
-        param_norm = max(param_norm, np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0).max())
+        report.add("state/parametrization-norm",
+                   np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0).max())
 
         geo = states.bloch_geometric(chunk)
-        sphere = max(sphere, np.abs((geo**2).sum(axis=1) - model.BLOCH_NORM_SQ).max())
+        report.add("state/seven-sphere-norm-4/3",
+                   np.abs((geo**2).sum(axis=1) - model.BLOCH_NORM_SQ).max())
 
         mapped = states.bloch_from_amplitudes(amps)
         rhos = states.density_from_state(amps)
-        traced = states.bloch_from_density(rhos)
-        equivalence = max(equivalence, np.abs(geo - mapped).max(), np.abs(geo - traced).max())
+        for other in (mapped, states.bloch_from_density(rhos)):
+            report.add("state/geometric-trace-map-equivalence", np.abs(geo - other).max())
 
         if start < PURE_SAMPLES:
             pure = rhos[:PURE_SAMPLES - start]
-            idempotency = max(idempotency, np.abs(pure @ pure - pure).max())
+            report.add("state/pure-idempotency", np.abs(pure @ pure - pure).max())
         if start < ROUNDTRIP_SAMPLES:
             sample = mapped[:ROUNDTRIP_SAMPLES - start]
             back = states.bloch_from_density(states.density_from_bloch(sample))
-            roundtrip = max(roundtrip, np.abs(back - sample).max())
-    report.add("state/parametrization-norm", param_norm)
-    report.add("state/seven-sphere-norm-4/3", sphere)
-    report.add("state/geometric-trace-map-equivalence", equivalence)
+            report.add("state/bloch-roundtrip", np.abs(back - sample).max())
 
     mixtures = random_mixtures(MIXTURE_SAMPLES)
     purities = states.purity(mixtures)
     bloch_sq = (states.bloch_from_density(mixtures) ** 2).sum(axis=1)
     report.add("state/purity-identity", np.abs(purities - (1.0 + 1.5 * bloch_sq) / 3.0).max())
-    report.add("state/purity-bounds", max(0.0, purities.max() - 1.0, 1.0 / 3.0 - purities.min()))
-    report.add("state/pure-idempotency", idempotency)
-    report.add("state/bloch-roundtrip", roundtrip)
+    # How far each purity lies outside [1/3, 1]: 0 inside.
+    report.add("state/purity-bounds", np.abs(np.clip(purities, 1.0 / 3.0, 1.0) - purities).max())
     return report
 
 
@@ -375,84 +387,71 @@ def kernel_deviation(p: model.SimParams, exact: dynamics.Trajectory, rows) -> fl
     return float((np.abs(np.asarray(rows) - reference) / scale).max())
 
 
-def _figure_run(label: str, p: model.SimParams) -> tuple:
-    """Residuals of figure run ``label``, all read from its one trajectory on FIGURE_GRID.
+def _figure_run(report: SuiteReport, label: str, p: model.SimParams) -> None:
+    """Report figure run ``label``'s residuals, all read from its one trajectory on FIGURE_GRID.
 
-    (unitarity, Bloch norm, :class:`dynamics.SplitReport`, the Lambda closed form a chunk
-    at a time on lambda@0 and lambda@0.2 else 0, kernel, RK4). The last two read a copy of
-    every RK4_STRIDE-th row, taken before the full grid's arrays are dropped.
+    The Lambda closed form is compared a chunk at a time on lambda@0 and
+    lambda@0.2. The kernel and RK4 checks read a copy of every RK4_STRIDE-th
+    row, taken before the full grid's arrays are dropped.
     """
     traj = dynamics.bloch_trajectory(p, FIGURE_GRID)
-    unit = np.abs((np.abs(traj.amplitudes) ** 2).sum(axis=1) - 1.0).max()
-    norm = np.abs((traj.bloch**2).sum(axis=1) - model.BLOCH_NORM_SQ).max()
+    report.add("dynamics/unitarity", np.abs((np.abs(traj.amplitudes) ** 2).sum(axis=1) - 1.0).max())
+    report.add("dynamics/bloch-norm-4/3",
+               np.abs((traj.bloch**2).sum(axis=1) - model.BLOCH_NORM_SQ).max())
     split = dynamics._split_report(p, traj.sector4, traj.sector2)
-    closed = 0.0
+    sector = np.max([split.max_dev4, split.max_dev2])
+    if p.delta == 0.0:
+        report.add("dynamics/sector-conservation-at-resonance", sector)
     if label in ("lambda@0", "lambda@0.2"):
         for start in range(0, FIGURE_GRID.size, CHUNK):
             part = slice(start, start + CHUNK)
-            closed_amps = dynamics.lambda_closed_form(p, FIGURE_GRID[part])
-            closed = max(closed, np.abs(closed_amps - traj.amplitudes[part]).max())
+            closed = dynamics.lambda_closed_form(p, FIGURE_GRID[part])
+            report.add("dynamics/lambda-closed-form", np.abs(closed - traj.amplitudes[part]).max())
     rk4_rows = dynamics.Trajectory(*(a[::RK4_STRIDE].copy() for a in (
         traj.times, traj.amplitudes, traj.bloch, traj.sector4, traj.sector2)))
     del traj
+
+    m = dynamics.adjoint_generator(p)
+    report.add("dynamics/generator-antisymmetry", np.abs(m + m.T).max())
+    if label == "lambda@1.2":
+        # Either sector mixed is enough, so the larger deviation is held to the bound.
+        report.add("dynamics/off-resonance-splitting-vanishes", sector)
+        report.add("dynamics/lambda-generator-reference",
+                   np.abs(m - lambda_generator_reference(p)).max())
+
     row = model.row_formula(p)  # read through the module, so tests can patch it
-    kernel = kernel_deviation(p, rk4_rows, [row(t) for t in rk4_rows.times.tolist()])
-    return unit, norm, split, closed, kernel, rk4_deviation(p, rk4_rows)
+    report.add("dynamics/simulate-kernel",
+               kernel_deviation(p, rk4_rows, [row(t) for t in rk4_rows.times.tolist()]))
+    dev = rk4_deviation(p, rk4_rows)
+    theta, estimate = dynamics.rk4_error_estimate(p, DT, T_MAX)
+    if estimate > RK4_GUARD_FRACTION * RK4_TOL:
+        report.notes.append(
+            f"dynamics/oracle-triangle-rk4: {label} skipped at dt={DT:g}:"
+            f" step angle {theta:.2g} predicts accumulated error {estimate:.1e}"
+            f" (measured {dev:.1e}); fixed-step RK4 cannot meet {RK4_TOL:g}"
+            f" at this operating point. See docs/derivation_notes.md."
+        )
+    else:
+        report.add("dynamics/oracle-triangle-rk4", dev)
 
 
 def dynamics_suite() -> SuiteReport:
-    report = SuiteReport()
+    report = SuiteReport("dynamics")
     sets = figures.parameter_sets()
-
-    unit = norm = antisym = sector_dev = closed_dev = off_dev = generator_dev = worst_rk4 = 0.0
-    kernel = 0.0
     for label, p in sets.items():
-        run_unit, run_norm, split, closed, run_kernel, dev = _figure_run(label, p)
-        unit, norm, closed_dev = max(unit, run_unit), max(norm, run_norm), max(closed_dev, closed)
-        kernel = max(kernel, run_kernel)
-        m = dynamics.adjoint_generator(p)
-        antisym = max(antisym, np.abs(m + m.T).max())
-        sector = max(split.max_dev4, split.max_dev2)
-        if p.delta == 0.0:
-            sector_dev = max(sector_dev, sector)
-        if label == "lambda@1.2":
-            off_dev = sector
-            generator_dev = np.abs(m - lambda_generator_reference(p)).max()
-        theta, estimate = dynamics.rk4_error_estimate(p, DT, T_MAX)
-        if estimate > RK4_GUARD_FRACTION * RK4_TOL:
-            report.notes.append(
-                f"dynamics/oracle-triangle-rk4: {label} skipped at dt={DT:g}:"
-                f" step angle {theta:.2g} predicts accumulated error {estimate:.1e}"
-                f" (measured {dev:.1e}); fixed-step RK4 cannot meet {RK4_TOL:g}"
-                f" at this operating point. See docs/derivation_notes.md."
-            )
-        else:
-            worst_rk4 = max(worst_rk4, dev)
-    report.add("dynamics/unitarity", unit)
-    report.add("dynamics/bloch-norm-4/3", norm)
-    report.add("dynamics/generator-antisymmetry", antisym)
-    report.add("dynamics/sector-conservation-at-resonance", sector_dev)
-    report.add("dynamics/lambda-generator-reference", generator_dev)
-    report.add("dynamics/oracle-triangle-rk4", worst_rk4)
-    report.add("dynamics/simulate-kernel", kernel)
-    report.add("dynamics/lambda-closed-form", closed_dev)
+        _figure_run(report, label, p)
 
     rng = np.random.default_rng(SECTOR_SEED)
     amps = _unit_amplitudes(rng.normal(size=(SECTOR_SAMPLES, 2, 3)))
-    worst = 0.0
     for topology in model.Configuration:
         s4, s2 = dynamics._sector_polynomials(topology, amps)
-        worst = max(worst, np.abs(s4 + s2 - model.BLOCH_NORM_SQ).max())
-    report.add("dynamics/sector-sum-4/3", worst)
+        report.add("dynamics/sector-sum-4/3", np.abs(s4 + s2 - model.BLOCH_NORM_SQ).max())
 
     p0 = sets["lambda@0"]
     period = 4.0 * math.pi / dynamics.rabi_frequency(p0)
-    worst = 0.0
     for t in (0.0, 1.0, 2.5, 7.7, 20.0, 50.0):
         n_pair = dynamics.bloch_trajectory(p0, np.array([t, t + period])).bloch
-        worst = max(worst, np.linalg.norm(n_pair[1] - n_pair[0]))
-    report.add("dynamics/lambda-periodicity", worst)
-    report.add("dynamics/off-resonance-splitting-vanishes", off_dev)
+        report.add("dynamics/lambda-periodicity", np.linalg.norm(n_pair[1] - n_pair[0]))
     return report
 
 

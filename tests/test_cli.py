@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
-from qutrit_bloch import checks, cli, config, dynamics, model, states
+from qutrit_bloch import checks, cli, config, dynamics, figures, model, states
 from qutrit_bloch.cli import (
     CSV_HEADER,
     main,
@@ -540,6 +540,77 @@ def test_run_verify_names_broken_invariant(monkeypatch, capsys, pitfall):
     mutate(monkeypatch, owner, name, old, new)
     assert run_verify("all") == 1
     assert f"FAIL {check} (" in capsys.readouterr().out
+
+
+def nan_in_dn2(monkeypatch):
+    # Every row simulate writes reads NaN in its dn2 column (index 10).
+    real = model.row_formula
+
+    def row_formula(p):
+        row = real(p)
+        return lambda t: row(t)[:10] + (math.nan,) + row(t)[11:]
+
+    monkeypatch.setattr(model, "row_formula", row_formula)
+
+
+def nan_in_third_geometric_chunk(monkeypatch):
+    # One value of the third 1000-sample chunk reads NaN.
+    real, calls = states.bloch_geometric, itertools.count(1)
+
+    def bloch_geometric(angles):
+        geo = real(angles)
+        if next(calls) == 3:
+            geo[0, 0] = math.nan
+        return geo
+
+    monkeypatch.setattr(states, "bloch_geometric", bloch_geometric)
+
+
+def without_lambda_1_2(monkeypatch):
+    # The figure set loses its one off-resonant Lambda run.
+    real = figures.parameter_sets
+    monkeypatch.setattr(figures, "parameter_sets",
+                        lambda: {k: p for k, p in real().items() if k != "lambda@1.2"})
+
+
+@pytest.mark.parametrize("plant, scope, names", [
+    (nan_in_dn2, "dynamics", ["dynamics/simulate-kernel"]),
+    (nan_in_third_geometric_chunk, "state",
+     ["state/seven-sphere-norm-4/3", "state/geometric-trace-map-equivalence"]),
+    (without_lambda_1_2, "dynamics",
+     ["dynamics/lambda-generator-reference", "dynamics/off-resonance-splitting-vanishes"]),
+], ids=["nan-in-dn2", "nan-in-a-geometric-chunk", "no-lambda@1.2"])
+def test_run_verify_fails_a_nan_or_an_unmeasured_check(monkeypatch, capsys, plant, scope, names):
+    # A NaN residual outweighs every number it is combined with, and a check
+    # that no run measured reads NaN: either fails, where a max over Python
+    # floats from 0.0 would drop the NaN and pass.
+    plant(monkeypatch)
+    assert run_verify(scope) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
+    assert [line.split(" ")[1] for line in failed] == names
+    assert all(" residual=nan bound: " in line for line in failed)
+
+
+def test_suite_report_keeps_each_checks_worst_residual():
+    def results(scope, name, residuals):
+        report = checks.SuiteReport(scope)
+        for residual in residuals:
+            report.add(name, residual)
+        return {r.name: r for r in report.results}
+
+    at_most, above = "algebra/shift-actions", "dynamics/off-resonance-splitting-vanishes"
+    for order in itertools.permutations([1e-15, 3e-15, 2e-15]):
+        assert results("algebra", at_most, order)[at_most].residual == 3e-15
+        assert results("dynamics", above, order)[above].residual == 1e-15
+    for order in ([math.nan, 0.0, 1.0], [0.0, 1.0, math.nan]):  # NaN first or last
+        for scope, name in (("algebra", at_most), ("dynamics", above)):
+            result = results(scope, name, order)[name]
+            assert math.isnan(result.residual) and not result.passed
+    # The scope's every entry is listed in table order; the unreported ones read NaN.
+    listed = results("algebra", at_most, [0.0])
+    assert list(listed) == [name for name in checks.CHECKS if name.startswith("algebra/")]
+    assert listed.pop(at_most).passed
+    assert all(math.isnan(r.residual) and not r.passed for r in listed.values())
 
 
 def test_run_suites_unknown_scope():
@@ -1265,11 +1336,15 @@ def test_simulate_memory_does_not_grow_with_rows(tmp_path, monkeypatch, fmt):
 def test_verify_suites_hold_one_chunk_at_a_time():
     # The state suite maps its 10,000 angle samples a chunk at a time, and the
     # dynamics suite holds one figure run's trajectory (amplitudes, Bloch
-    # vectors and sector norms) at a time. They peak at 2.4 and 2.1 MB;
+    # vectors and sector norms) at a time. They peak at 2.4 and 2.0 MB;
     # whole-array versions peaked at 5.7 and 5.1 MB, and a dynamics suite that
-    # keeps the previous run's trajectory alive through the next at 3.4 MB.
-    for suite, bound in ((checks.state_suite, 3.5e6), (checks.dynamics_suite, 2.7e6)):
-        suite()  # warm-up: the algebra tables and figure parameters are cached
+    # keeps the previous run's trajectory alive through the next at 3.3 MB.
+    for suite, bound in ((checks.state_suite, 3.5e6), (checks.dynamics_suite, 2.6e6)):
+        # Two untraced warm-ups: the first caches the algebra tables and figure
+        # parameters, and dynamics_suite's first traced run after only one
+        # still read 0.12 MB of one-time allocations.
+        suite()
+        suite()
         tracemalloc.start()
         try:
             suite()
