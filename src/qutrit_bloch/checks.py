@@ -219,11 +219,8 @@ SHIFT_ACTIONS = {
 
 def _reference_table(values: dict, antisymmetric: bool) -> np.ndarray:
     table = np.zeros((8, 8, 8))
-    for (l, m, n), v in values.items():
-        triple = (l - 1, m - 1, n - 1)
-        for perm, sign in model.PERMUTATION_SIGN.items():
-            table[tuple(triple[i] for i in perm)] = v * (sign if antisymmetric else 1.0)
-    return table
+    table[tuple(np.array(list(values)).T - 1)] = list(values.values())
+    return su3._by_sorted_index(table, antisymmetric)
 
 
 def algebra_suite() -> SuiteReport:

@@ -71,13 +71,17 @@ def propagate_exact(p: SimParams, times: np.ndarray) -> np.ndarray:
     H is real symmetric, so the eigendecomposition is orthogonal and the
     propagation is unitary to machine precision at every time. The phases
     exp(-i E t) are formed and weighted in one (N, 3) array, in place.
+    An overflowing input (a non-finite H entry or phase E t) raises ValueError.
     """
     times = _ascending(times)
     h = rotating_hamiltonian(p)
-    try:
-        energies, vectors = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # unreachable for finite symmetric input
-        raise ArithmeticError(f"eigendecomposition failed: {exc}") from exc
+    for (i, j), v in np.ndenumerate(h):
+        if not math.isfinite(v):
+            raise ValueError(f"Hamiltonian entry H{i + 1}{j + 1} = {v} is not finite")
+    energies, vectors = np.linalg.eigh(h)  # cannot fail on a finite symmetric matrix
+    e, t = float(np.abs(energies).max()), float(np.abs(times).max())
+    if not math.isfinite(e * t):  # Python floats: an overflow is inf, not a warning
+        raise ValueError(f"phase E t is not finite: |E| up to {e:.3e}, |t| up to {t:.3e}")
     weights = vectors.T @ np.array(p.c0)
     phases = -1j * np.outer(times, energies)
     np.exp(phases, out=phases)

@@ -225,9 +225,7 @@ def density_from_bloch(n: np.ndarray) -> np.ndarray:
     if (np.abs(n) > _COMPONENT_BOUND).any():  # refused before it can overflow below
         raise BlochRegionError("Bloch vector outside physical region (a component above 2/sqrt(3))")
     lam = gellmann_basis()
-    w = n[..., None, None]  # each component broadcast over a 3x3 matrix
-    rho = lam[0] + 1.5 * sum(w[..., k, :, :] * lam[k + 1] for k in range(8))
-    rho = rho / 3.0
+    rho = (lam[0] + 1.5 * np.einsum("...k,kij->...ij", n, lam[1:])) / 3.0
     low = np.linalg.eigvalsh(rho).min(initial=np.inf)  # an empty stack has no eigenvalue
     if not low >= -PSD_TOL:
         raise BlochRegionError(

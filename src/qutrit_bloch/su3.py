@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from .model import _SQRT3, ATOL_EXACT, ATOL_NUMERIC, PERMUTATION_SIGN
+from .model import _SQRT3, ATOL_EXACT, ATOL_NUMERIC
 
 __all__ = [
     "ConsistencyError",
@@ -127,40 +126,41 @@ class StructureConstants:
 
     Entry ``[l, m, n]`` refers to generators lambda_{l+1}, lambda_{m+1},
     lambda_{n+1}. ``f`` is totally antisymmetric and ``d`` totally symmetric,
-    exactly: only canonically ordered index triples are evaluated with the
-    trace formulas and all other entries are filled in by (anti)symmetry.
+    exactly (see :func:`derive_structure_constants`).
     """
 
     f: np.ndarray
     d: np.ndarray
 
 
+def _by_sorted_index(table: np.ndarray, antisymmetric: bool) -> np.ndarray:
+    """Each [l, m, n] read at its sorted triple, times sign((m-l)(n-l)(n-m)) if antisymmetric."""
+    index = np.indices(table.shape)
+    l, m, n = index
+    # (lo, mid, hi) by reductions: np.sort would page in numpy's SIMD sorts, 0.3 MB of RSS.
+    lo, hi = index.min(axis=0), index.max(axis=0)
+    out = table[lo, index.sum(axis=0) - lo - hi, hi]
+    return out * np.sign((m - l) * (n - l) * (n - m)) if antisymmetric else out
+
+
 def derive_structure_constants(basis) -> StructureConstants:
     """Derive f and d tables from a 9-element generator basis.
 
-    ``basis`` must have shape (9, 3, 3), or ValueError is raised. Uses
-    f_lmn = Tr[[lambda_l, lambda_m] lambda_n] / 4i and
-    d_lmn = Tr[{lambda_l, lambda_m} lambda_n] / 4. The traces must be real
-    (imaginary residue at most 1e-14) for a valid Hermitian basis; anything
-    larger, or NaN, raises :class:`ConsistencyError`.
+    ``basis`` must have shape (9, 3, 3), or ValueError is raised. From the
+    traces T_lmn = Tr[lambda_l lambda_m lambda_n] (one contraction),
+    f_lmn = Tr[[lambda_l, lambda_m] lambda_n] / 4i = (T_lmn - T_mln) / 4i and
+    d_lmn = Tr[{lambda_l, lambda_m} lambda_n] / 4 = (T_lmn + T_mln) / 4. Each
+    entry is read at its sorted index triple (f times the permutation's sign),
+    so f is exactly antisymmetric and d exactly symmetric, whatever the rounding.
+    The traces must be real (imaginary residue at most 1e-14) for a valid
+    Hermitian basis; anything larger, or NaN, raises :class:`ConsistencyError`.
     """
     lam = np.asarray(basis, dtype=complex)
     if lam.shape != (9, 3, 3):
         raise ValueError(f"a generator basis must have shape (9, 3, 3), got {lam.shape}")
-    f = np.zeros((8, 8, 8), dtype=complex)
-    d = np.zeros((8, 8, 8), dtype=complex)
-    for triple in combinations_with_replacement(range(8), 3):
-        a, b, c = (lam[i + 1] for i in triple)
-        td = np.trace(anticommutator(a, b) @ c) / 4.0
-        for perm in set(permutations(triple)):
-            d[perm] = td
-        if len(set(triple)) < 3:
-            continue  # f vanishes identically on repeated indices
-        tf = np.trace(commutator(a, b) @ c) / 4.0j
-        for perm, sign in PERMUTATION_SIGN.items():
-            f[tuple(triple[i] for i in perm)] = sign * tf
-    d = _real_part(d, "d-traces", ATOL_EXACT)
-    f = _real_part(f, "f-traces", ATOL_EXACT)
+    t = np.einsum("lij,mjk,nki->lmn", lam[1:], lam[1:], lam[1:])
+    d = _real_part(_by_sorted_index((t + t.swapaxes(0, 1)) / 4.0, False), "d-traces", ATOL_EXACT)
+    f = _real_part(_by_sorted_index((t - t.swapaxes(0, 1)) / 4.0j, True), "f-traces", ATOL_EXACT)
     return StructureConstants(f=_readonly(f), d=_readonly(d))
 
 

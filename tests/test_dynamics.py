@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -504,6 +505,27 @@ def test_bloch_trajectory_checks_its_grid_once(monkeypatch):
 def test_time_grid_refuses_non_finite(run, times):
     with pytest.raises(ValueError, match="time grid must be finite"):
         run(params(FIG_LAMBDA), np.array(times))
+
+
+@pytest.mark.parametrize("run", [propagate_exact, bloch_trajectory])
+def test_propagation_refuses_an_overflowing_hamiltonian(run):
+    # 2 delta / 3 overflows, and eigh of the inf entry gives NaN amplitudes without a warning.
+    with pytest.raises(ValueError, match=r"Hamiltonian entry H11 = inf is not finite"):
+        run(SimParams(Configuration.LAMBDA, 0.3, 0.2, 1e308), np.arange(3.0))
+
+
+@pytest.mark.parametrize("run", [propagate_exact, bloch_trajectory])
+def test_propagation_refuses_an_overflowing_phase(run):
+    # H = diag(delta, 0, -delta) + couplings is finite, but E t is past the float range at t = 2.
+    with pytest.raises(ValueError, match=r"phase E t is not finite: \|E\| up to 1.700e\+308"):
+        run(SimParams(Configuration.XI, 0.3, 0.2, 1.7e308), np.array([0.0, 1.0, 2.0]))
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "bloch_trajectory" in block
+    exec(compile(block, "README.md", "exec"), {})
 
 
 @st.composite

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from qutrit_bloch import checks
+from qutrit_bloch.model import F_REFERENCE, PERMUTATION_SIGN
 from qutrit_bloch.su3 import (
     ConsistencyError,
     anticommutator,
@@ -77,6 +79,56 @@ def test_structure_constant_exact_symmetry():
     assert np.array_equal(sc.f, -np.transpose(sc.f, (0, 2, 1)))
     assert np.array_equal(sc.d, np.transpose(sc.d, (1, 0, 2)))
     assert np.array_equal(sc.d, np.transpose(sc.d, (0, 2, 1)))
+
+
+def reference_structure_constants(lam):
+    """The per-triple trace loop the one T_lmn contraction must match bit for bit."""
+    f = np.zeros((8, 8, 8), dtype=complex)
+    d = np.zeros((8, 8, 8), dtype=complex)
+    for triple in itertools.combinations_with_replacement(range(8), 3):
+        a, b, c = (lam[i + 1] for i in triple)
+        td = np.trace(anticommutator(a, b) @ c) / 4.0
+        for perm in set(itertools.permutations(triple)):
+            d[perm] = td
+        if len(set(triple)) < 3:
+            continue  # f vanishes identically on repeated indices
+        tf = np.trace(commutator(a, b) @ c) / 4.0j
+        for perm, sign in PERMUTATION_SIGN.items():
+            f[tuple(triple[i] for i in perm)] = sign * tf
+    return f.real, d.real
+
+
+def test_structure_constants_match_per_triple_traces():
+    f, d = reference_structure_constants(gellmann_basis())
+    sc = structure_constants()
+    assert np.array_equal(sc.f, f)
+    assert np.array_equal(sc.d, d)
+
+
+def test_rotated_basis_tables_are_exactly_symmetric():
+    # U lam_k U^dagger has the same f and d; its rounded traces break the symmetry
+    # in the last bit, and reading each entry at its sorted index triple restores it.
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    sc = derive_structure_constants(u @ gellmann_basis() @ u.conj().T)
+    for axes in [(1, 0, 2), (0, 2, 1)]:
+        assert np.array_equal(sc.f, -sc.f.transpose(axes))
+        assert np.array_equal(sc.d, sc.d.transpose(axes))
+    assert np.abs(sc.f - structure_constants().f).max() <= 1e-15
+    assert np.abs(sc.d - structure_constants().d).max() <= 1e-15
+
+
+@pytest.mark.parametrize("values,antisymmetric", [
+    (F_REFERENCE, True),
+    (checks.D_REFERENCE, False),
+], ids=["f", "d"])
+def test_reference_tables_match_per_permutation_fill(values, antisymmetric):
+    table = np.zeros((8, 8, 8))
+    for (l, m, n), v in values.items():
+        triple = (l - 1, m - 1, n - 1)
+        for perm, sign in PERMUTATION_SIGN.items():
+            table[tuple(triple[i] for i in perm)] = v * (sign if antisymmetric else 1.0)
+    assert np.array_equal(checks._reference_table(values, antisymmetric), table)
 
 
 def test_anticommutator_expansion_from_d():
