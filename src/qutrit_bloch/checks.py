@@ -395,7 +395,7 @@ def _figure_run(report: SuiteReport, label: str, p: model.SimParams) -> None:
     report.add("dynamics/unitarity", np.abs((np.abs(traj.amplitudes) ** 2).sum(axis=1) - 1.0).max())
     report.add("dynamics/bloch-norm-4/3",
                np.abs((traj.bloch**2).sum(axis=1) - model.BLOCH_NORM_SQ).max())
-    split = dynamics._split_report(p, traj.sector4, traj.sector2)
+    split = dynamics.resonance_split_check(p, traj)
     sector = np.max([split.max_dev4, split.max_dev2])
     if p.delta == 0.0:
         report.add("dynamics/sector-conservation-at-resonance", sector)

@@ -19,10 +19,18 @@ M is exactly antisymmetric (total antisymmetry of f), which is what makes
 vanishes and the eight components decouple into two invariant sectors, a
 five-component one (a four-sphere) and a three-component one (a two-sphere),
 whose squared norms are separately conserved.
+
+Overflow has one rule here, as in ``simulate``: an entry point computes with
+numpy's floating-point errors ignored and hands its result to :func:`_finite`,
+which raises ValueError naming the result if an entry is not finite (an
+overflowing input, or a NaN time). A float ``**`` that overflows counts as an
+infinite result. :func:`rk4_error_estimate` alone returns ``inf``: it is an
+unbounded estimate, not a result.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,43 +60,66 @@ __all__ = [
 SECTOR_IMAG_TOL = 1e-10
 
 
+def _finite(values, what: str):
+    """``values`` unchanged, or ValueError naming ``what`` if an entry is not finite.
+
+    The layer's one overflow rule (see the module docstring).
+    """
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} is not finite")
+    return values
+
+
+def _quiet(func):
+    """``func`` run with numpy's floating-point errors ignored: :func:`_finite` judges its result."""
+    @functools.wraps(func)
+    def run(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return func(*args, **kwargs)
+    return run
+
+
 def rotating_hamiltonian(p: SimParams) -> np.ndarray:
     """Real symmetric rotating-frame Hamiltonian at equal detuning, (3, 3).
 
-    The entries are :func:`model.hamiltonian`'s.
+    The entries are :func:`model.hamiltonian`'s. An overflowing entry raises ValueError.
     """
-    return np.array(model.hamiltonian(p))
+    return _finite(np.array(model.hamiltonian(p)), "Hamiltonian H")
 
 
 def rabi_frequency(p: SimParams) -> float:
-    """Generalized Rabi frequency sqrt(delta^2 + kappa_a^2 + kappa_b^2)."""
-    return math.sqrt(p.delta**2 + p.kappa_a**2 + p.kappa_b**2)
+    """Generalized Rabi frequency sqrt(delta^2 + kappa_a^2 + kappa_b^2).
+
+    A square past the float range raises ValueError.
+    """
+    try:
+        omega = math.sqrt(p.delta**2 + p.kappa_a**2 + p.kappa_b**2)
+    except OverflowError:  # float ** raises where * would round to inf
+        omega = math.inf
+    return _finite(omega, "Rabi frequency")
 
 
+@_quiet
 def propagate_exact(p: SimParams, times: np.ndarray) -> np.ndarray:
     """Amplitudes c(t) = exp(-i H t) c0 via eigendecomposition, shape (N, 3).
 
     H is real symmetric, so the eigendecomposition is orthogonal and the
     propagation is unitary to machine precision at every time. The phases
     exp(-i E t) are formed and weighted in one (N, 3) array, in place.
-    An overflowing input (a non-finite H entry or phase E t) raises ValueError.
+    An overflowing input raises ValueError: a non-finite H entry (from
+    :func:`rotating_hamiltonian`) or a phase E t past the float range, which
+    leaves NaN amplitudes.
     """
     times = _ascending(times)
-    h = rotating_hamiltonian(p)
-    for (i, j), v in np.ndenumerate(h):
-        if not math.isfinite(v):
-            raise ValueError(f"Hamiltonian entry H{i + 1}{j + 1} = {v} is not finite")
-    energies, vectors = np.linalg.eigh(h)  # cannot fail on a finite symmetric matrix
-    e, t = float(np.abs(energies).max()), float(np.abs(times).max())
-    if not math.isfinite(e * t):  # Python floats: an overflow is inf, not a warning
-        raise ValueError(f"phase E t is not finite: |E| up to {e:.3e}, |t| up to {t:.3e}")
+    energies, vectors = np.linalg.eigh(rotating_hamiltonian(p))
     weights = vectors.T @ np.array(p.c0)
     phases = -1j * np.outer(times, energies)
     np.exp(phases, out=phases)
     phases *= weights
-    return phases @ vectors.T
+    return _finite(phases @ vectors.T, "propagated amplitude c(t)")
 
 
+@_quiet
 def lambda_closed_form(p: SimParams, t) -> np.ndarray:
     """Closed-form Lambda amplitudes at equal detuning, half convention.
 
@@ -108,17 +139,18 @@ def lambda_closed_form(p: SimParams, t) -> np.ndarray:
 
     Only valid for the Lambda configuration in the half convention (the
     Omega above matches the eigenvalue splitting only there). Scalar ``t``
-    gives shape (3,); an array of times gives (N, 3).
+    gives shape (3,); an array of times gives (N, 3). An overflowing Omega or
+    a non-finite amplitude (an overflowing phase, or a NaN time) raises ValueError.
     """
     if p.config is not Configuration.LAMBDA:
         raise ValueError(f"closed form requires the Lambda configuration, got {p.config.value}")
     if p.coupling_convention != "half":
         raise ValueError("closed form is only valid in the half coupling convention")
+    omega = rabi_frequency(p)  # a finite Omega leaves K2 finite too
     k13, k23, d = p.kappa_a, p.kappa_b, p.delta
     ksq = k13**2 + k23**2
     if ksq == 0.0:
         raise ValueError("closed form requires a nonzero coupling")
-    omega = rabi_frequency(p)
     c10, c20, c30 = p.c0
 
     t_arr = np.asarray(t, dtype=float)
@@ -139,7 +171,7 @@ def lambda_closed_form(p: SimParams, t) -> np.ndarray:
         + k13 * (c30 * k13 + c20 * k23) * cos_w
         + 1j * k13 / omega * bright_drive * sin_w
     )
-    return np.stack([c1, c2, c3], axis=-1)
+    return _finite(np.stack([c1, c2, c3], axis=-1), "closed-form amplitude c(t)")
 
 
 def adjoint_generator(p: SimParams) -> np.ndarray:
@@ -147,12 +179,13 @@ def adjoint_generator(p: SimParams) -> np.ndarray:
 
     The 28 nonzero entries are :func:`model.generator_entries`'. Because the
     f table is totally antisymmetric, M comes out exactly antisymmetric, so
-    the integrated Bloch norm is conserved by the flow it generates.
+    the integrated Bloch norm is conserved by the flow it generates. An
+    overflowing entry raises ValueError.
     """
     m = np.zeros((8, 8))
     for (k, l), value in model.generator_entries(model.hamiltonian(p)).items():
         m[k - 1, l - 1] = value
-    return _readonly(m)
+    return _readonly(_finite(m, "adjoint generator M"))
 
 
 def _sector_norms(bloch: np.ndarray, config: Configuration) -> tuple[np.ndarray, np.ndarray]:
@@ -199,6 +232,7 @@ def bloch_trajectory(p: SimParams, times: np.ndarray) -> Trajectory:
     return Trajectory(times, amps, bloch, *_sector_norms(bloch, p.config))
 
 
+@_quiet
 def integrate_bloch_ode(p: SimParams, times: np.ndarray, dt: float) -> Trajectory:
     """Fixed-step classical RK4 integration of dn/dt = M n from n(0).
 
@@ -218,6 +252,9 @@ def integrate_bloch_ode(p: SimParams, times: np.ndarray, dt: float) -> Trajector
     frequency w scales as (w dt)^5 / 120, so dt must keep w dt well below 1
     for every eigenfrequency of M (the pairwise level splittings, up to 2
     Delta for the Xi ladder). See docs/derivation_notes.md.
+
+    Past the stability bound rho(M) dt > 2 sqrt(2) a step amplifies the
+    fastest mode, and a run that overflows raises ValueError (section 9).
     """
     times = _ascending(times)
     if times[0] != 0.0:
@@ -227,8 +264,7 @@ def integrate_bloch_ode(p: SimParams, times: np.ndarray, dt: float) -> Trajector
     gaps = np.diff(times)
     if gaps.size and dt > gaps.min() * (1.0 + 1e-12):
         raise ValueError(f"dt={dt} exceeds the smallest grid spacing {gaps.min()}")
-    with np.errstate(over="ignore"):  # an overflowing count is refused next
-        steps = np.rint(gaps / dt)
+    steps = np.rint(gaps / dt)  # an overflowing count is refused next
     if not steps.max(initial=0.0) < 2.0**63:
         raise ValueError(f"a grid interval of {steps.max():.6g} steps of dt={dt} "
                          "exceeds the int64 step count")
@@ -253,7 +289,8 @@ def integrate_bloch_ode(p: SimParams, times: np.ndarray, dt: float) -> Trajector
             powers[count] = np.linalg.matrix_power(step, count)
         n = powers[count] @ n
         out[i + 1] = n
-    return Trajectory(times, None, out, *_sector_norms(out, p.config))
+    # Finite sector norms mean finite components: together they sum all eight squares.
+    return Trajectory(times, None, out, *_finite(_sector_norms(out, p.config), "RK4 trajectory"))
 
 
 def rk4_error_estimate(p: SimParams, dt: float, t_max: float) -> tuple[float, float]:
@@ -376,23 +413,17 @@ class SplitReport:
     SPLIT_TOL = 1e-6
 
 
-def resonance_split_check(p: SimParams, times: np.ndarray) -> SplitReport:
-    """Measure how well the two sector norms are conserved along a run.
+def resonance_split_check(p: SimParams, traj: Trajectory) -> SplitReport:
+    """Measure how well the two sector norms of ``p``'s run ``traj`` are conserved.
 
-    Uses the exact propagator. The report flags ``split`` when both sector
-    norms stay within 1e-6 of their closed-form initial values, which is the
-    resonance signature; any finite detuning mixes the sectors and the flag
-    drops to False.
+    The report flags ``split`` when both sector norms stay within 1e-6 of
+    their closed-form initial values (:func:`sector_initial_norms`), which is
+    the resonance signature; any finite detuning mixes the sectors and the
+    flag drops to False.
     """
-    traj = bloch_trajectory(p, times)
-    return _split_report(p, traj.sector4, traj.sector2)
-
-
-def _split_report(p: SimParams, sector4: np.ndarray, sector2: np.ndarray) -> SplitReport:
-    """Deviation of the sector norms along a run from :func:`sector_initial_norms` of ``p``."""
     s4_0, s2_0 = sector_initial_norms(p)
-    dev4 = float(np.abs(sector4 - s4_0).max())
-    dev2 = float(np.abs(sector2 - s2_0).max())
+    dev4 = float(np.abs(traj.sector4 - s4_0).max())
+    dev2 = float(np.abs(traj.sector2 - s2_0).max())
     return SplitReport(
         s4_initial=s4_0, s2_initial=s2_0, max_dev4=dev4, max_dev2=dev2,
         split=(dev4 <= SplitReport.SPLIT_TOL and dev2 <= SplitReport.SPLIT_TOL),

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -466,17 +467,19 @@ def test_rk4_error_estimate_out_of_range(delta, dt, t_max, expected):
 
 def test_resonance_split_check_flags():
     times = np.arange(0.0, 100.0 + 1e-12, 0.1)
-    report = resonance_split_check(params(FIG_LAMBDA), times)
+    p = params(FIG_LAMBDA)
+    report = resonance_split_check(p, bloch_trajectory(p, times))
     assert report.split
     assert max(report.max_dev4, report.max_dev2) <= SECTOR_TOL
 
-    report = resonance_split_check(params(FIG_LAMBDA, delta=1.2), times)
+    p = params(FIG_LAMBDA, delta=1.2)
+    report = resonance_split_check(p, bloch_trajectory(p, times))
     assert not report.split
     threshold = checks.CHECKS["dynamics/off-resonance-splitting-vanishes"].bound
     assert max(report.max_dev4, report.max_dev2) > threshold
 
     free = SimParams(Configuration.LAMBDA, 0.0, 0.0, 0.0)
-    assert resonance_split_check(free, times).split
+    assert resonance_split_check(free, bloch_trajectory(free, times)).split
 
 
 def test_time_grid_validation():
@@ -510,15 +513,45 @@ def test_time_grid_refuses_non_finite(run, times):
 @pytest.mark.parametrize("run", [propagate_exact, bloch_trajectory])
 def test_propagation_refuses_an_overflowing_hamiltonian(run):
     # 2 delta / 3 overflows, and eigh of the inf entry gives NaN amplitudes without a warning.
-    with pytest.raises(ValueError, match=r"Hamiltonian entry H11 = inf is not finite"):
+    with pytest.raises(ValueError, match=r"^Hamiltonian H is not finite$"):
         run(SimParams(Configuration.LAMBDA, 0.3, 0.2, 1e308), np.arange(3.0))
 
 
 @pytest.mark.parametrize("run", [propagate_exact, bloch_trajectory])
 def test_propagation_refuses_an_overflowing_phase(run):
     # H = diag(delta, 0, -delta) + couplings is finite, but E t is past the float range at t = 2.
-    with pytest.raises(ValueError, match=r"phase E t is not finite: \|E\| up to 1.700e\+308"):
+    with pytest.raises(ValueError, match=r"^propagated amplitude c\(t\) is not finite$"):
         run(SimParams(Configuration.XI, 0.3, 0.2, 1.7e308), np.array([0.0, 1.0, 2.0]))
+
+
+LAMBDA_1E308 = SimParams(Configuration.LAMBDA, 0.3, 0.2, 1e308)  # 2 delta / 3 and delta^2 overflow
+XI_1_7E308 = SimParams(Configuration.XI, 0.3, 0.2, 1.7e308)  # H finite, M = 2 delta past the range
+
+
+@pytest.mark.parametrize("run,what", [
+    (lambda: rotating_hamiltonian(LAMBDA_1E308), "Hamiltonian H"),
+    (lambda: adjoint_generator(LAMBDA_1E308), "adjoint generator M"),
+    (lambda: adjoint_generator(XI_1_7E308), "adjoint generator M"),
+    (lambda: integrate_bloch_ode(LAMBDA_1E308, [0.0, 1.0, 2.0], 1.0), "adjoint generator M"),
+    (lambda: integrate_bloch_ode(XI_1_7E308, [0.0, 1.0, 2.0], 1.0), "adjoint generator M"),
+    # rho(M) dt = 20, past RK4's stability bound 2 sqrt 2: each grid interval of
+    # 100 steps amplifies the fastest mode past the float range.
+    (lambda: integrate_bloch_ode(SimParams(Configuration.XI, 0.2, 0.3, 1000.0),
+                                 np.arange(0.0, 101.0), 0.01), "RK4 trajectory"),
+    (lambda: rabi_frequency(LAMBDA_1E308), "Rabi frequency"),
+    (lambda: rabi_frequency(XI_1_7E308), "Rabi frequency"),
+    (lambda: lambda_closed_form(LAMBDA_1E308, [0.0, 1.0, 2.0]), "Rabi frequency"),
+    (lambda: lambda_closed_form(params(FIG_LAMBDA), [0.0, math.nan]),
+     "closed-form amplitude c(t)"),
+    (lambda: lambda_closed_form(params(FIG_LAMBDA), math.inf), "closed-form amplitude c(t)"),
+], ids=["hamiltonian-lambda", "generator-lambda", "generator-xi", "rk4-lambda", "rk4-xi",
+        "rk4-xi-unstable-step", "rabi-lambda", "rabi-xi", "closed-form-lambda",
+        "closed-form-nan-time", "closed-form-inf-time"])
+def test_overflowing_input_raises_value_error(run, what):
+    # Under the suite's warnings-as-errors: no RuntimeWarning, OverflowError or
+    # non-finite return, only the one ValueError naming the non-finite result.
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} is not finite$"):
+        run()
 
 
 def test_readme_library_example_runs():
@@ -584,7 +617,7 @@ def test_invariants_across_parameter_space(p, t, s):
         assert abs(s4_0 + s2_0 - BLOCH_NORM_SQ) <= SECTOR_SUM_TOL
         assert np.abs(traj.sector4 - s4_0).max() <= SECTOR_TOL
         assert np.abs(traj.sector2 - s2_0).max() <= SECTOR_TOL
-        assert resonance_split_check(p, times).split
+        assert resonance_split_check(p, traj).split
 
     lam_half = p.config is Configuration.LAMBDA and p.coupling_convention == "half"
     if lam_half and p.kappa_a**2 + p.kappa_b**2 >= 1e-2:
