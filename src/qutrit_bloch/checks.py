@@ -27,7 +27,6 @@ its last bits can depend on how OpenBLAS blocks the rows it is given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -139,8 +138,7 @@ CHECKS = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     residual: float
     check: Check  # the name's CHECKS entry

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -196,14 +196,14 @@ def _sector_norms(bloch: np.ndarray, config: Configuration) -> tuple[np.ndarray,
     return (b[:, i4] ** 2).sum(axis=1), (b[:, i2] ** 2).sum(axis=1)
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Time grid plus the amplitudes, Bloch vectors and sector norms on it.
 
     The numpy counterpart of ``simulate``'s table (:func:`model.row_formula`);
     ``verify``'s kernel and RK4 checks read every ``checks.RK4_STRIDE``-th row
     of a figure run's one trajectory (``checks.kernel_deviation`` forms dn/dt = M n).
-    ``amplitudes`` is None for RK4's, which never touches amplitudes.
+    ``amplitudes`` is None for RK4's, which never touches amplitudes. Its
+    fields are arrays, so it compares and hashes by identity.
     """
 
     times: np.ndarray
@@ -211,6 +211,8 @@ class Trajectory:
     bloch: np.ndarray
     sector4: np.ndarray
     sector2: np.ndarray
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def _ascending(times) -> np.ndarray:
@@ -399,8 +401,7 @@ def _sector_polynomials(config: Configuration, c: np.ndarray) -> tuple[np.ndarra
     return tuple(_real_part(np.stack([s4, s2]), "sector norms", SECTOR_IMAG_TOL))
 
 
-@dataclass(frozen=True)
-class SplitReport:
+class SplitReport(NamedTuple):
     """Deviation of the sector norms from their initial values over a run."""
 
     s4_initial: float

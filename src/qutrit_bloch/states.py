@@ -20,11 +20,10 @@ sector norms) are independent of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _SQRT3, ATOL_NUMERIC, CARDINAL_ANGLES, CARDINAL_LABELS
+from .model import _SQRT3, ATOL_NUMERIC, CARDINAL_ANGLES, CARDINAL_LABELS, _Record
 from .su3 import _gellmann_traces, _real_part, gellmann_basis
 
 __all__ = [
@@ -51,8 +50,7 @@ class BlochRegionError(ValueError):
     """A Bloch vector lies outside the physical (positive semidefinite) region."""
 
 
-@dataclass(frozen=True)
-class AngleParams:
+class AngleParams(_Record):
     """Geometric qutrit angles: theta1, theta2 in [0, pi], phi1, phi2 in [0, 2 pi).
 
     Each angle is a float, or an array of angles for a batch of states (the
@@ -60,13 +58,12 @@ class AngleParams:
     range-checked.
     """
 
-    theta1: float | np.ndarray
-    theta2: float | np.ndarray
-    phi1: float | np.ndarray = 0.0
-    phi2: float | np.ndarray = 0.0
+    __slots__ = ("theta1", "theta2", "phi1", "phi2")
 
-    def __post_init__(self) -> None:
-        for name in ("theta1", "theta2", "phi1", "phi2"):
+    def __init__(self, theta1: float | np.ndarray, theta2: float | np.ndarray,
+                 phi1: float | np.ndarray = 0.0, phi2: float | np.ndarray = 0.0) -> None:
+        self._fill(theta1, theta2, phi1, phi2)
+        for name in self.__slots__:
             # numpy orders complex numbers by their real part first, so the
             # range checks below would pass a complex angle.
             if np.iscomplexobj(getattr(self, name)):

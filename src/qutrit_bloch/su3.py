@@ -7,8 +7,8 @@ as read-only arrays, so they can be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,8 +120,7 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(NamedTuple):
     """Structure constant tables of the generator algebra, shape (8, 8, 8).
 
     Entry ``[l, m, n]`` refers to generators lambda_{l+1}, lambda_{m+1},

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qutrit_bloch import checks, figures, model
+from qutrit_bloch import checks, dynamics, figures, model, states
 from qutrit_bloch.dynamics import adjoint_generator, rotating_hamiltonian
 
 EPS = np.finfo(float).eps
@@ -89,20 +89,25 @@ def test_command_line_modules_import_no_numpy():
 
 def test_command_line_modules_hold_no_numpy_import():
     # At any depth: a numpy import inside a function would load numpy on a
-    # later call, which the import-time check above does not see. Nor
-    # dataclasses: it imports inspect, about 13 ms of every simulate run.
+    # later call, which the import-time check above does not see. No module
+    # of the package imports dataclasses: it imports inspect, about 13 ms of
+    # every simulate run, and each record is a NamedTuple or a model._Record.
     package = Path(model.__file__).parent
+    modules = sorted(path.stem for path in package.glob("*.py"))
+    assert len(modules) == 9
     found = []
-    for name in ("__init__", "cli", "config", "figures", "model"):
+    for name in modules:
+        banned = ("dataclasses",)
+        if name in ("__init__", "cli", "config", "figures", "model"):
+            banned += ("numpy",)
         for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
             if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
+                imported = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
-                modules = [node.module]
+                imported = [node.module]
             else:
                 continue
-            found += [(name, node.lineno) for m in modules
-                      if m.split(".")[0] in ("numpy", "dataclasses")]
+            found += [(name, node.lineno) for m in imported if m.split(".")[0] in banned]
     assert found == []
 
 
@@ -132,10 +137,44 @@ def test_records_are_frozen_values():
         assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
 
 
+def test_angle_params_is_a_validated_record():
+    # AngleParams is a model._Record as SimParams is: the same contract, and
+    # a copy or a pickle rebuilds through __init__, so it is range-checked.
+    a = states.AngleParams(0.125, 0.25)
+    same = states.AngleParams(theta1=0.125, theta2=0.25, phi1=0.0, phi2=0.0)
+    assert (a.phi1, a.phi2) == (0.0, 0.0)
+    assert a == same and hash(a) == hash(same)
+    assert a != states.AngleParams(0.125, 0.25, phi2=0.5) and len({a, same}) == 1
+    assert repr(a) == "AngleParams(theta1=0.125, theta2=0.25, phi1=0.0, phi2=0.0)"
+    with pytest.raises(AttributeError, match="cannot assign to field 'theta1'"):
+        a.theta1 = 0.5
+    assert copy.copy(a) == a == pickle.loads(pickle.dumps(a))
+    text = pickle.dumps(a, protocol=0)
+    assert text.count(b"F0.125\n") == 1
+    with pytest.raises(ValueError, match=r"theta1=9.0 outside \[0, pi\]"):
+        pickle.loads(text.replace(b"F0.125\n", b"F9.0\n"))
+
+
+def test_result_records_are_named_tuples():
+    # Plain result records: field repr, no assignment. A Trajectory holds
+    # arrays, so it compares and hashes by identity.
+    report = dynamics.SplitReport(1.0, 0.5, 0.0, 0.0, True)
+    assert repr(report) == (
+        "SplitReport(s4_initial=1.0, s2_initial=0.5, max_dev4=0.0, max_dev2=0.0, split=True)")
+    assert report.SPLIT_TOL == 1e-6 and report == dynamics.SplitReport(1.0, 0.5, 0.0, 0.0, True)
+    grid = np.zeros(3)
+    traj = dynamics.Trajectory(grid, None, grid, grid, grid)
+    twin = dynamics.Trajectory(grid, None, grid, grid, grid)
+    assert traj == traj and traj != twin and not traj == twin and len({traj, twin}) == 2
+    for record, field in ((report, "split"), (traj, "times")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
 def test_every_name_has_one_home():
     # A module's __all__ lists only the names it defines: a shared name is
     # read from its home, never through a module that imports it.
-    from qutrit_bloch import cli, config, dynamics, states, su3
+    from qutrit_bloch import cli, config, su3
 
     homes = {}
     for module in (model, config, figures, cli, su3, states, dynamics, checks):
